@@ -153,6 +153,11 @@ class Proxy {
   /// Observability for the pool-reuse tests.
   std::size_t live_calls() const { return calls_.live(); }
 
+  /// Weighted-picker table rebuilds so far. The table is rebuilt only when
+  /// the split generation or the availability mask changes, so a pick
+  /// stream under fixed weights and availability leaves this unchanged.
+  std::uint64_t picker_rebuilds() const { return picker_rebuilds_; }
+
  private:
   struct BackendSlot {
     ServiceDeployment* deployment;
@@ -328,6 +333,7 @@ class Proxy {
   std::uint64_t cum_total_ = 0;
   std::uint64_t picker_generation_ = 0;
   std::uint64_t picker_mask_ = 0;
+  std::uint64_t picker_rebuilds_ = 0;
   bool picker_valid_ = false;
 
   // P2C candidate cache: the available-backend index list, rebuilt only

@@ -1,9 +1,9 @@
 // Chrome trace-event rendering for obs snapshots. The fragment writer emits
 // counter tracks ("C" phase — Perfetto draws them as stacked area charts)
 // for `rt.counter.*` / `rt.gauge.*` samples plus the flight-recorder ring
-// events as instants, all inside a dedicated "obs" process. trace/export.cpp
-// composes this alongside request spans and fault markers; standalone tools
-// can also wrap a fragment into a complete trace document.
+// events as instants, all inside a dedicated "obs" process.
+// trace::write_chrome_trace composes this alongside request spans and fault
+// markers into one document.
 #pragma once
 
 #include "l3/obs/recorder.h"
@@ -20,9 +20,5 @@ namespace l3::obs {
 /// events sorted by sim time, and no wall-clock values are rendered.
 void write_chrome_fragment(const Snapshot& snapshot, std::size_t pid,
                            bool& first, std::ostream& os);
-
-/// Writes a self-contained Chrome trace-event document holding only the
-/// snapshot's obs process (used by the golden counter-track test).
-void write_chrome_trace(const Snapshot& snapshot, std::ostream& os);
 
 }  // namespace l3::obs

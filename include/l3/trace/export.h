@@ -30,31 +30,13 @@ struct FaultMarker {
   std::string phase;  ///< "begin" or "end"
 };
 
-/// Writes `traces` as Chrome trace-event JSON. Deterministic: output depends
-/// only on the trace contents.
-void write_chrome_trace(const std::deque<TraceRecord>& traces,
-                        std::ostream& os);
-
-/// As above, additionally rendering `markers` as global instant events in a
-/// dedicated "faults" process (pid one past the last trace).
-void write_chrome_trace(const std::deque<TraceRecord>& traces,
-                        std::span<const FaultMarker> markers,
-                        std::ostream& os);
-
-/// As above, additionally rendering an obs snapshot — `rt.counter.*` /
-/// `rt.gauge.*` counter tracks ("C" events) plus flight-recorder ring
-/// instants — in a dedicated "obs" process after the faults process.
-/// `snapshot` may be null (same output as the two-argument overload).
+/// Writes one Chrome trace-event JSON document: `traces` one process each,
+/// then `markers` (if any) as global instant events in a "faults" process,
+/// then `snapshot` (if non-null) — `rt.counter.*` / `rt.gauge.*` counter
+/// tracks ("C" events) plus flight-recorder ring instants — in an "obs"
+/// process. Deterministic: output depends only on the arguments' contents.
 void write_chrome_trace(const std::deque<TraceRecord>& traces,
                         std::span<const FaultMarker> markers,
                         const obs::Snapshot* snapshot, std::ostream& os);
-
-/// Convenience over the tracer's completed buffer.
-inline void write_chrome_trace(const Tracer& tracer, std::ostream& os) {
-  write_chrome_trace(tracer.traces(), os);
-}
-
-/// Chrome trace-event JSON as a string.
-std::string chrome_trace_json(const Tracer& tracer);
 
 }  // namespace l3::trace

@@ -16,8 +16,8 @@
 //
 // Determinism: MegaResult::digest() is byte-identical for every shard
 // count (pinned by the workload_mega tests and check.sh). The digest
-// excludes the mailbox counters and wall-clock throughput, which are
-// shard-count-dependent by construction.
+// excludes the mailbox counters, which are shard-count-dependent by
+// construction.
 #pragma once
 
 #include "l3/common/time.h"
@@ -109,9 +109,6 @@ struct MegaResult {
   /// Cross-shard mailbox traffic (shard-count-DEPENDENT; excluded from
   /// the digest).
   sim::MailboxStats mailbox;
-  /// Wall-clock seconds spent inside the engine run (not deterministic;
-  /// excluded from the digest).
-  double wall_seconds = 0.0;
 
   /// Deterministic run fingerprint: per-region counts and latency
   /// percentiles (full precision), the audit log, and the global event

@@ -180,6 +180,7 @@ void Proxy::refresh_picker() {
   picker_generation_ = split_.generation();
   picker_mask_ = avail_mask_;
   picker_valid_ = true;
+  ++picker_rebuilds_;
   L3_OBS_EVENT(kMesh, kPickerRebuild, sim_.now(),
                static_cast<std::uint32_t>(avail_mask_),
                static_cast<double>(cum_index_.size()));

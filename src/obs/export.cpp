@@ -73,11 +73,4 @@ void write_chrome_fragment(const Snapshot& snapshot, std::size_t pid,
   }
 }
 
-void write_chrome_trace(const Snapshot& snapshot, std::ostream& os) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  write_chrome_fragment(snapshot, 0, first, os);
-  os << "\n]}\n";
-}
-
 }  // namespace l3::obs

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <ostream>
-#include <sstream>
 
 namespace l3::trace {
 namespace {
@@ -49,17 +48,6 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
-}
-
-void write_chrome_trace(const std::deque<TraceRecord>& traces,
-                        std::ostream& os) {
-  write_chrome_trace(traces, std::span<const FaultMarker>{}, os);
-}
-
-void write_chrome_trace(const std::deque<TraceRecord>& traces,
-                        std::span<const FaultMarker> markers,
-                        std::ostream& os) {
-  write_chrome_trace(traces, markers, nullptr, os);
 }
 
 void write_chrome_trace(const std::deque<TraceRecord>& traces,
@@ -117,12 +105,6 @@ void write_chrome_trace(const std::deque<TraceRecord>& traces,
     obs::write_chrome_fragment(*snapshot, pid, first, os);
   }
   os << "\n]}\n";
-}
-
-std::string chrome_trace_json(const Tracer& tracer) {
-  std::ostringstream os;
-  write_chrome_trace(tracer.traces(), os);
-  return os.str();
 }
 
 }  // namespace l3::trace

@@ -14,7 +14,6 @@
 #include "l3/sim/simulator.h"
 #include "l3/workload/client.h"
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -249,7 +248,6 @@ MegaResult run_mega(const MegaConfig& config) {
   std::vector<std::uint64_t> shard_events(shards, 0);
   std::vector<MegaAuditEntry> audit;
 
-  const auto wall_start = std::chrono::steady_clock::now();
   engine.run([&](std::size_t shard) {
     auto state =
         std::make_unique<ShardState>(config, engine, shard, dep_of_region);
@@ -262,8 +260,6 @@ MegaResult run_mega(const MegaConfig& config) {
     engine.sync();  // peers may still execute events referencing our state
     state.reset();  // destroy on the shard's own thread
   });
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
 
   MegaResult result;
   result.regions = std::move(region_slots);
@@ -274,7 +270,6 @@ MegaResult run_mega(const MegaConfig& config) {
   }
   for (const std::uint64_t e : shard_events) result.total_events += e;
   result.mailbox = engine.mailbox_stats();
-  result.wall_seconds = wall.count();
   return result;
 }
 

@@ -5,6 +5,7 @@
 // zero-cost byte-identity contract through the scenario runner.
 #include "l3/mesh/proxy_cost.h"
 
+#include "l3/lb/weighting.h"
 #include "l3/mesh/mesh.h"
 #include "l3/workload/runner.h"
 
@@ -361,6 +362,44 @@ TEST(ProxyCostRunner, CostedRunPaysHandshakesAndCpu) {
   EXPECT_GT(result.proxy_cost_stats.cpu_busy_total, 0.0);
   // Pooling works: the vast majority of requests reuse warm connections.
   EXPECT_GT(result.proxy_cost_stats.pool_hit_rate(), 0.9);
+}
+
+TEST(ProxyCostRunner, SaturatedProxyCompressesL3ShareSkew) {
+  // The DESIGN.md §16 cost sweep: cluster medians 90/30/10 ms at 200 rps
+  // Poisson under L3, once cost-free and once behind a 1-worker 4.8 ms/req
+  // proxy CPU stage (rho ~ 0.96). The saturated stage's queueing lands on
+  // every backend alike, so once the cost reaches the latency EWMA the
+  // backend ratios, L3's weights and the traffic-share skew (max/mean)
+  // compress toward uniform.
+  workload::ScenarioTrace trace("proxy-cost", 3, 60.0);
+  const double medians[3] = {0.090, 0.030, 0.010};
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t s = 0; s < trace.steps(); ++s) {
+      trace.at(c, s) =
+          workload::TracePoint{medians[c], medians[c] * 3.0, 1.0};
+    }
+  }
+  for (std::size_t s = 0; s < trace.steps(); ++s) trace.set_rps(s, 200.0);
+  workload::RunnerConfig config;
+  config.warmup = 30.0;
+  config.poisson_arrivals = true;
+  const auto zero = run_scenario(trace, workload::PolicyKind::kL3, config);
+
+  workload::RunnerConfig costed = config;
+  costed.proxy_cost.cpu_per_request = 0.0048;  // 208 req/s capacity
+  costed.proxy_cost.concurrency = 1;
+  costed.proxy_cost.handshake_cost = 0.002;
+  costed.proxy_cost.pool_size = 16;
+  costed.proxy_cost.idle_timeout = 30.0;
+  const auto saturated =
+      run_scenario(trace, workload::PolicyKind::kL3, costed);
+
+  EXPECT_GE(saturated.proxy_cost_stats.handshakes, 1u);  // 265
+  const double zero_skew = lb::weight_skew(zero.traffic_share);
+  const double costed_skew = lb::weight_skew(saturated.traffic_share);
+  ASSERT_GT(costed_skew, 1.0);
+  // (zero_skew - 1) / (costed_skew - 1): 4.27 (1.93 -> 1.22).
+  EXPECT_GE((zero_skew - 1.0) / (costed_skew - 1.0), 1.5);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the proxy hot path: weighted routing shares, metric export,
-// in-flight accounting, timeouts, and health-based exclusion.
+// in-flight accounting, timeouts, health-based exclusion, and the picker
+// table cache.
 #include "l3/mesh/mesh.h"
 
 #include "l3/mesh/metric_names.h"
@@ -291,6 +292,28 @@ TEST_F(PickerDistribution, EjectedBackendExcludedAndRemainderReweighted) {
   // 2:1 weight ratio, not fall back to the full set.
   EXPECT_EQ(counts[0], 0);
   EXPECT_LT(chi_square(counts, {0.0, 4000.0, 2000.0}), 10.83);  // df = 1
+}
+
+TEST_F(PickerDistribution, PickerTableRebuiltOnlyOnWeightChange) {
+  deploy_everywhere();
+  Proxy& proxy = mesh.proxy(c1, "svc");
+  TrafficSplit& split = *mesh.find_split(c1, "svc");
+  split.set_weights(std::vector<std::uint64_t>{6000, 3000, 1000});
+  proxy.pick_backend();
+  const std::uint64_t built = proxy.picker_rebuilds();
+  EXPECT_GE(built, 1u);
+
+  // Unchanged weights and availability: scalar and batched picks reuse the
+  // cached table (a per-pick rebuild would add one per pick here).
+  count_picks(proxy, 5000);
+  std::uint32_t block[64] = {};
+  for (int i = 0; i < 50; ++i) proxy.pick_backend_batch(block, 64);
+  EXPECT_EQ(proxy.picker_rebuilds(), built);
+
+  // A weight change invalidates the table once.
+  split.set_weights(std::vector<std::uint64_t>{1000, 3000, 6000});
+  count_picks(proxy, 1000);
+  EXPECT_EQ(proxy.picker_rebuilds(), built + 1);
 }
 
 // --- pooled call-state lifecycle ------------------------------------------

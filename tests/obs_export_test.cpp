@@ -1,7 +1,7 @@
 // Chrome trace export of obs snapshots: a golden byte-for-byte trace with
 // counter tracks ("C" events), gauge tracks, and flight-recorder ring
-// instants, plus the combined l3::trace overload that appends the obs
-// process after the span/fault processes. The golden works under any
+// instants, rendered through trace::write_chrome_trace, which appends the
+// obs process after the span/fault processes. The golden works under any
 // L3_OBS setting because it drives the always-compiled Shard API directly.
 #include "l3/obs/export.h"
 
@@ -32,11 +32,16 @@ void populate_golden(Recorder& recorder) {
   shard->event(Domain::kMesh, 2.5, EventCode::kPickerRebuild, 7, 3.0);
 }
 
+/// The trace document holding only the snapshot's obs process.
+std::string render(const Snapshot& snapshot) {
+  std::ostringstream os;
+  trace::write_chrome_trace({}, {}, &snapshot, os);
+  return os.str();
+}
+
 TEST(ObsExport, GoldenChromeTraceWithCounterTracks) {
   Recorder recorder = make_golden_recorder();
   populate_golden(recorder);
-  std::ostringstream os;
-  write_chrome_trace(recorder.snapshot(), os);
   const std::string expected =
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
@@ -51,26 +56,22 @@ TEST(ObsExport, GoldenChromeTraceWithCounterTracks) {
       "\"ph\":\"i\",\"s\":\"t\",\"ts\":2500000.000,\"pid\":0,\"tid\":2,"
       "\"args\":{\"arg\":7,\"value\":3}}\n"
       "]}\n";
-  EXPECT_EQ(os.str(), expected);
+  EXPECT_EQ(render(recorder.snapshot()), expected);
 }
 
 TEST(ObsExport, GoldenTraceIsReproducible) {
   std::string renders[2];
-  for (std::string& render : renders) {
+  for (std::string& out : renders) {
     Recorder recorder = make_golden_recorder();
     populate_golden(recorder);
-    std::ostringstream os;
-    write_chrome_trace(recorder.snapshot(), os);
-    render = os.str();
+    out = render(recorder.snapshot());
   }
   EXPECT_EQ(renders[0], renders[1]);
 }
 
 TEST(ObsExport, EmptySnapshotStillNamesTheProcess) {
   Recorder recorder;
-  std::ostringstream os;
-  write_chrome_trace(recorder.snapshot(), os);
-  EXPECT_EQ(os.str(),
+  EXPECT_EQ(render(recorder.snapshot()),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
             "\"args\":{\"name\":\"obs\"}}\n"
@@ -90,11 +91,9 @@ TEST(ObsExport, CombinedTraceOverloadAppendsObsProcess) {
   EXPECT_NE(combined.find("rt.counter.sim.events"), std::string::npos);
   EXPECT_NE(combined.find("rt.event.mesh.picker_rebuild"), std::string::npos);
 
-  // Null snapshot degrades to the plain overload byte-for-byte.
-  std::ostringstream without_obs, two_arg;
+  // A null snapshot renders no obs process.
+  std::ostringstream without_obs;
   trace::write_chrome_trace(traces, {}, nullptr, without_obs);
-  trace::write_chrome_trace(traces, {}, two_arg);
-  EXPECT_EQ(without_obs.str(), two_arg.str());
   EXPECT_EQ(without_obs.str().find("\"name\":\"obs\""), std::string::npos);
 }
 

@@ -75,13 +75,13 @@ TEST(ChromeTrace, OutputIsValidJson) {
   traces[1].root_name = "odd \"name\"\n";
   traces[1].spans[0].name = traces[1].root_name;
   std::ostringstream os;
-  write_chrome_trace(traces, os);
+  write_chrome_trace(traces, {}, nullptr, os);
   EXPECT_TRUE(JsonValidator::valid(os.str())) << os.str();
 }
 
 TEST(ChromeTrace, EmptyBufferIsValidJson) {
   std::ostringstream os;
-  write_chrome_trace(std::deque<TraceRecord>{}, os);
+  write_chrome_trace({}, {}, nullptr, os);
   EXPECT_TRUE(JsonValidator::valid(os.str())) << os.str();
 }
 
@@ -96,7 +96,7 @@ TEST(ChromeTrace, GoldenSingleSpan) {
   Span root = make_span(1, 0, SpanKind::kClient, "req", "c1", 0.0, 0.001);
   trace.spans.push_back(root);
   std::ostringstream os;
-  write_chrome_trace({trace}, os);
+  write_chrome_trace({trace}, {}, nullptr, os);
   EXPECT_EQ(os.str(),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
@@ -117,7 +117,7 @@ TEST(ChromeTrace, FaultMarkersRenderAsGlobalInstants) {
       {0.090, "crash:api@c2", "end"},
   };
   std::ostringstream os;
-  write_chrome_trace(traces, markers, os);
+  write_chrome_trace(traces, markers, nullptr, os);
   const std::string text = os.str();
   EXPECT_TRUE(JsonValidator::valid(text)) << text;
   // Markers land in a dedicated "faults" process one pid past the traces,
@@ -129,18 +129,12 @@ TEST(ChromeTrace, FaultMarkersRenderAsGlobalInstants) {
       << text;
   EXPECT_NE(text.find("\"phase\":\"begin\""), std::string::npos);
   EXPECT_NE(text.find("\"phase\":\"end\""), std::string::npos);
-
-  // Without markers the overload is byte-identical to the plain exporter.
-  std::ostringstream plain, empty_markers;
-  write_chrome_trace(traces, plain);
-  write_chrome_trace(traces, std::span<const FaultMarker>{}, empty_markers);
-  EXPECT_EQ(plain.str(), empty_markers.str());
 }
 
 TEST(ChromeTrace, EventsCarrySpanArgs) {
   std::deque<TraceRecord> traces{make_trace()};
   std::ostringstream os;
-  write_chrome_trace(traces, os);
+  write_chrome_trace(traces, {}, nullptr, os);
   const std::string text = os.str();
   EXPECT_NE(text.find("\"cat\":\"wan\""), std::string::npos);
   EXPECT_NE(text.find("\"cat\":\"queue\""), std::string::npos);
