@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 namespace l3::workload {
@@ -21,6 +22,39 @@ MegaConfig small_config() {
   config.scrape_interval = 0.5;
   config.audit_interval = 0.5;
   return config;
+}
+
+/// FNV-1a over the digest's bytes.
+std::uint64_t digest_hash(const std::string& digest) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : digest) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Pins the mega WAN discipline (both legs drawn source-side at send time)
+// against proxy refactors: any change to the proxy's draw order, the
+// arrival-side partition verdict or the keyed delivery of either leg moves
+// this hash. A costed chaos run, so crashes, brownouts, partitions and the
+// cost model's outbound delay are all covered.
+constexpr std::uint64_t kGoldenChaosCosted = 0x006fb11fef152c63ull;
+
+TEST(Mega, DigestMatchesGolden) {
+  for (const std::size_t shards : {1ul, 4ul}) {
+    MegaConfig config = small_config();
+    config.chaos = true;
+    config.proxy_cost.cpu_per_request = 0.0005;
+    config.proxy_cost.handshake_cost = 0.002;
+    config.proxy_cost.concurrency = 4;
+    config.proxy_cost.pool_size = 8;
+    config.proxy_cost.idle_timeout = 1.0;
+    config.shards = shards;
+    const std::uint64_t h = digest_hash(run_mega(config).digest());
+    EXPECT_EQ(h, kGoldenChaosCosted)
+        << "shards=" << shards << " digest hash: 0x" << std::hex << h;
+  }
 }
 
 TEST(Mega, DigestIsShardCountInvariant) {
