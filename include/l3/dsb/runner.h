@@ -32,10 +32,6 @@ struct DsbRunnerConfig {
   /// Hot-path batching knob (see workload::RunnerConfig::dispatch_batch);
   /// 1 = per-event dispatch, results byte-identical for every value.
   std::size_t dispatch_batch = 64;
-  /// Simulator shards (see workload::RunnerConfig::shards): the DSB
-  /// topology is RNG-coupled, so all clusters stay on shard 0 and results
-  /// are byte-identical for every value.
-  std::size_t shards = 1;
 
   HotelAppConfig app;
   PerformanceDisturber::Config disturbance;

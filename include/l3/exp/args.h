@@ -1,7 +1,7 @@
 // The shared command-line surface of every bench binary:
 //
 //   [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]
-//   [--batch=N] [--no-batch] [--shards=N] [--proxy-cost=US]
+//   [--batch=N] [--no-batch] [--proxy-cost=US]
 //
 // Parsing is strict: numeric flags reject non-numeric, negative, trailing-
 // garbage and overflowing values instead of silently mapping them to 0 the
@@ -29,10 +29,6 @@ struct BenchArgs {
   /// --no-batch) runs the per-event path; results are byte-identical for
   /// every value.
   int batch = 64;
-  /// Simulator shards for the conservative-lookahead parallel engine
-  /// (RunnerConfig::shards). Results are byte-identical for every value,
-  /// including 1 (the legacy single-simulator loop).
-  int shards = 1;
   /// Per-request sidecar CPU cost in microseconds for the data-plane cost
   /// model (RunnerConfig::proxy_cost.cpu_per_request; DESIGN.md §16). 0
   /// (default) disables the model and reproduces the cost-free run

@@ -51,10 +51,11 @@ struct MeshConfig {
   /// bounded-concurrency service stage, per-edge connection pools with
   /// mTLS handshake costs. Zero-cost defaults = byte-identical behaviour.
   ProxyCostConfig proxy_cost;
-  /// Sharded-run wiring: when set, every proxy this mesh creates uses the
-  /// presampled WAN discipline and posts remote calls through this router
-  /// instead of scheduling directly (see Proxy::enable_presampled). The
-  /// router must belong to the shard that owns this mesh's simulator.
+  /// Sharded-run wiring: when set, every proxy this mesh creates posts
+  /// both WAN legs through this router instead of scheduling them on the
+  /// mesh's simulator. The WAN draws are the same either way; only the
+  /// transport differs. The router must belong to the shard that owns this
+  /// mesh's simulator.
   sim::ShardRouter* shard_router = nullptr;
 };
 
@@ -87,11 +88,10 @@ class Mesh {
                             std::unique_ptr<ServiceBehavior> behavior);
 
   /// Registers a deployment OWNED BY ANOTHER SHARD's mesh as a routing
-  /// target in this one: proxies created here include it as a backend, and
-  /// the presampled send path posts its work to the owning shard through
-  /// the configured shard_router. The pointed-to deployment must outlive
-  /// this mesh; `cluster` must not also have a local deployment of the
-  /// same service.
+  /// target in this one: proxies created here include it as a backend and
+  /// post its work to the owning shard through the configured
+  /// shard_router. The pointed-to deployment must outlive this mesh;
+  /// `cluster` must not also have a local deployment of the same service.
   void declare_remote(const std::string& service, ClusterId cluster,
                       ServiceDeployment* deployment);
 

@@ -73,18 +73,23 @@ struct ProxyConfig {
 class Proxy {
  public:
   /// All referenced objects must outlive the proxy; `deployments` must be
-  /// aligned index-for-index with `split.backends()`.
+  /// aligned index-for-index with `split.backends()`. With a `router`, both
+  /// WAN legs are posted through it (the destination side then runs on the
+  /// shard owning the backend's cluster); without one they are scheduled
+  /// on `sim`. The router must belong to the shard that owns `sim`.
   Proxy(sim::Simulator& sim, const WanModel& wan, ClusterId source,
         TrafficSplit& split, std::vector<ServiceDeployment*> deployments,
         metrics::Registry& registry, const HealthChecker* health,
         SplitRng rng, ProxyConfig config,
-        const std::vector<std::string>& cluster_names);
+        const std::vector<std::string>& cluster_names,
+        sim::ShardRouter* router);
 
   Proxy(const Proxy&) = delete;
   Proxy& operator=(const Proxy&) = delete;
 
   /// Sends one request through the mesh; `done` fires exactly once with the
-  /// response (success, failure or timeout).
+  /// response (success, failure or timeout). Both WAN transit delays are
+  /// drawn on this proxy's stream at send time, outbound first.
   void send(int depth, ResponseFn done) {
     send(depth, trace::SpanContext{}, std::move(done));
   }
@@ -94,23 +99,13 @@ class Proxy {
   void send(int depth, trace::SpanContext parent, ResponseFn done);
 
   /// Attaches (or detaches, nullptr) the tracer spans are recorded into.
-  /// Normally called through Mesh::set_tracer. Incompatible with the
-  /// presampled discipline (the dest-side execution runs on another shard,
-  /// where this tracer must not be touched).
+  /// Normally called through Mesh::set_tracer. A routed proxy rejects a
+  /// tracer: its destination side runs on another shard, where this
+  /// tracer must not be touched.
   void set_tracer(trace::Tracer* tracer) {
-    L3_EXPECTS(!(presampled_ && tracer != nullptr));
+    L3_EXPECTS(router_ == nullptr || tracer == nullptr);
     tracer_ = tracer;
   }
-
-  /// Switches this proxy to the presampled WAN discipline for sharded
-  /// runs: BOTH transit delays are drawn source-side at send time (instead
-  /// of the legacy scheme, which draws the return delay dest-side on this
-  /// proxy's stream), and the dest-side work is posted through `router`
-  /// under a shard-count-invariant key. Must be called before the first
-  /// send; requires no tracer. The RNG draw sequence differs from the
-  /// legacy discipline, so presampled runs have their own goldens — but
-  /// they are byte-identical across any shard count.
-  void enable_presampled(sim::ShardRouter* router);
 
   const TrafficSplit& split() const { return split_; }
   ClusterId source() const { return source_; }
@@ -217,12 +212,16 @@ class Proxy {
   /// when the model is enabled; draws no RNG, schedules no events.
   SimDuration admit_cost(std::size_t idx);
 
-  /// The presampled-discipline outbound leg: draws both transit delays on
-  /// this proxy's stream and posts the dest-side execution through the
-  /// shard router (see enable_presampled). `outbound` is the full
-  /// source-side delay: the sampled WAN leg plus any cost-model delay.
-  void send_presampled(CallHandle handle, int depth, BackendSlot& slot,
-                       SimDuration outbound);
+  /// Delivers one WAN leg from cluster `from` to cluster `to` at `at`:
+  /// posted through the router under a (from, seq) key when the proxy is
+  /// routed, scheduled on the proxy's simulator otherwise.
+  void deliver(ClusterId from, ClusterId to, SimTime at, sim::EventFn fn);
+
+  /// Whether destination-side code may record spans: only on an unrouted
+  /// proxy (same simulator, so calls_ is safe to read) with a tracer.
+  bool traced_here() const {
+    return router_ == nullptr && tracer_ != nullptr;
+  }
 
   void on_response(CallHandle handle, const Outcome& outcome);
   void finish(CallState& state, bool success, SimDuration latency,
@@ -285,11 +284,9 @@ class Proxy {
 
   sim::Simulator& sim_;
   const WanModel& wan_;
-  /// Set by enable_presampled(): remote picks travel through this router
-  /// instead of direct scheduling. Null in the legacy (single-simulator)
-  /// discipline.
-  sim::ShardRouter* router_ = nullptr;
-  bool presampled_ = false;
+  /// Both WAN legs travel through this router when set (sharded meshes);
+  /// null means they are scheduled on sim_ directly.
+  sim::ShardRouter* const router_;
   ClusterId source_;
   std::string src_name_;  ///< source cluster name (span label)
   std::string proxy_span_name_;  ///< interned "proxy:<service>"

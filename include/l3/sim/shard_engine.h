@@ -22,7 +22,7 @@
 //   * a shard that acquires safe > end owes nothing more to anyone: every
 //     message still in flight toward it arrives strictly after `end`.
 // Shards with no coupled peers see safe = +inf and run the whole horizon in
-// one window — the --shards=1 path executes exactly the legacy loop.
+// one window — a 1-shard run executes exactly the plain Simulator loop.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -74,7 +74,7 @@ class ShardRouter {
   /// repeatedly acquires a safe horizon, drains + commits inbox messages,
   /// executes strictly below the horizon, flushes staging, publishes. The
   /// final window (safe > end) runs inclusively to `end`, exactly like the
-  /// legacy Simulator::run_until, then publishes +inf.
+  /// plain Simulator::run_until, then publishes +inf.
   void run_until(SimTime end);
 
   ShardEngine& engine() const { return *engine_; }

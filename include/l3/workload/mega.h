@@ -1,10 +1,11 @@
 // The "mega" scale scenario: a 10k-backend mesh sharded across the
 // conservative-lookahead parallel engine (l3/sim/shard_engine.h). Unlike
-// the three-cluster fig topologies — which are RNG-coupled through the
-// legacy WAN discipline and therefore pinned to shard 0 — mega uses the
-// presampled WAN discipline (Proxy::enable_presampled): both WAN legs are
-// drawn source-side at send time, so the regions decouple and can be
-// partitioned across shards with real parallel speedup.
+// the three-cluster fig topologies — which build one Simulator holding
+// every cluster — mega builds one Simulator and one Mesh view per shard,
+// and each region's proxy posts its WAN legs through that shard's router.
+// The proxy draws both WAN legs source-side at send time, so no region
+// touches another's RNG streams and the regions can be partitioned across
+// shards with real parallel speedup.
 //
 // Topology: `regions` single-cluster regions, each deploying
 // `replicas_per_region` replicas of one "api" service (the default

@@ -93,13 +93,11 @@ struct RunnerConfig {
   /// which the batched-vs-unbatched golden-trace tests pin down.
   std::size_t dispatch_batch = 64;
   /// Simulator shards for the conservative-lookahead parallel engine
-  /// (l3/sim/shard_engine.h). The fig topologies couple the clusters
-  /// through the legacy WAN discipline (the return delay is drawn
-  /// dest-side on the proxy's stream), so the runner keeps every cluster
-  /// on shard 0 and extra shards idle — results are byte-identical for
-  /// every value, which the shard-invariance diffs in check.sh pin down.
-  /// Real parallel speedup comes from the presampled mega scenario
-  /// (l3/workload/mega.h).
+  /// (l3/sim/shard_engine.h). The runner builds a single Simulator holding
+  /// every cluster, so it keeps every cluster on shard 0 and extra shards
+  /// idle — results are byte-identical for every value. Real parallel
+  /// speedup comes from the mega scenario (l3/workload/mega.h), which
+  /// builds one Simulator per shard.
   std::size_t shards = 1;
 
   // Algorithm configuration.

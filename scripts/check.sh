@@ -4,17 +4,20 @@
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
 # jobs-invariance smoke diffs on figure benches (plain, chaos, --profile,
-# and --no-batch), a --proxy-cost=0 zero-cost identity diff,
-# shard-invariance smoke diffs (--shards=2/4 vs the serial
-# run, plain and chaos), an L3_OBS=OFF byte-identical golden, then the
-# Release-mode gates: the flight-recorder overhead gate, the batched
-# pick-path gate (batched >= 1.5x scalar picks, in-process), the
-# sharded-mega gate (shards=4 req/s >= a fixed fraction of shards=1 req/s,
-# in-process), and a per-kernel micro-bench smoke. Every ctest run includes
-# the machine-independent throughput guards: picker table not rebuilt per
-# pick, mega-shaped control plane keeps its scrape plans and window cursors,
-# and proxy saturation compresses L3's share skew >= 1.5x. No gate compares
-# wall clock against a committed file, and the script writes no tracked file.
+# and --no-batch), a --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF
+# byte-identical golden, then the Release-mode gates: the flight-recorder
+# overhead gate, the batched pick-path gate (batched >= 1.5x scalar picks,
+# in-process), the sharded-mega gate (shards=4 req/s >= a fixed fraction of
+# shards=1 req/s, in-process), and a per-kernel micro-bench smoke. Every
+# ctest run includes the machine-independent throughput guards: picker
+# table not rebuilt per pick, mega-shaped control plane keeps its scrape
+# plans and window cursors, and proxy saturation compresses L3's share
+# skew >= 1.5x. Shard-count
+# invariance is gated in ctest by the mega digest tests
+# (Mega.DigestIsShardCountInvariant and friends): mega is the workload that
+# really partitions clusters across shards. Every ctest run also smoke-runs
+# the seven example binaries. No gate compares wall clock against a
+# committed file, and the script writes no tracked file.
 # Intended as the pre-merge gate; any failure aborts immediately.
 #
 # Usage: scripts/check.sh [preset...]
@@ -128,28 +131,6 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   diff "$smoke_dir/j1.out" "$smoke_dir/pc0.out"
   diff "$smoke_dir/j1.json" "$smoke_dir/pc0.json"
   echo "    byte-identical with --proxy-cost=0"
-
-  # Shard-invariance smoke: running the bench grid through the sharded
-  # engine must produce byte-identical stdout and JSON to the serial run
-  # at every shard count (the conservative barrier + keyed mailbox drain
-  # guarantee). Reuses the --jobs 1 goldens from above.
-  echo "==> [default] shard-invariance smoke (fig10_scenarios)"
-  for n in 2 4; do
-    ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --shards="$n" \
-        --json "$smoke_dir/s$n.json" > "$smoke_dir/s$n.out"
-    diff "$smoke_dir/j1.out" "$smoke_dir/s$n.out"
-    diff "$smoke_dir/j1.json" "$smoke_dir/s$n.json"
-  done
-  echo "    byte-identical at --shards=1, 2 and 4"
-
-  # Same guarantee with fault injection armed: chaos timelines ride the
-  # same keyed event order, so fig11 must be shard-count invariant too.
-  echo "==> [default] chaos shard-invariance smoke (fig11_failure_latency)"
-  ./build/bench/fig11_failure_latency --fast --reps 1 --jobs 1 --shards=2 \
-      --json "$smoke_dir/cs2.json" > "$smoke_dir/cs2.out"
-  diff "$smoke_dir/c1.out" "$smoke_dir/cs2.out"
-  diff "$smoke_dir/c1.json" "$smoke_dir/cs2.json"
-  echo "    byte-identical at --shards=1 and --shards=2 under chaos"
 
   # L3_OBS=OFF zero-cost check: compiling the instrumentation out must not
   # change a single byte of bench stdout or report JSON (the macros carry no

@@ -5,7 +5,6 @@
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
-#include "l3/sim/shard_engine.h"
 #include "l3/sim/simulator.h"
 #include "l3/workload/client.h"
 
@@ -100,22 +99,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
         [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
   }
 
-  // Same sharded-run shape as the trace runner: the topology is RNG-coupled
-  // through the legacy WAN discipline, so every cluster stays on shard 0
-  // and extra shards idle — byte-identical for every shard count.
-  if (config.shards <= 1) {
-    sim.run_until(t1 + 30.0);
-  } else {
-    sim::ShardEngine engine(config.shards);
-    engine.set_cluster_owners(
-        std::vector<std::size_t>(mesh.clusters().size(), 0));
-    engine.run([&](std::size_t shard) {
-      if (shard != 0) return;
-      sim::ShardRouter& router = engine.router(0);
-      router.attach(sim);
-      router.run_until(t1 + 30.0);
-    });
-  }
+  sim.run_until(t1 + 30.0);
   track_task.cancel();
 
   workload::RunResult result;

@@ -67,18 +67,6 @@ std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
       // detached value would make `--batch --fast` ambiguous.
       *error = "--batch requires an attached value: --batch=N";
       return std::nullopt;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const auto value = parse_uint(arg.substr(9));
-      if (!value || *value < 1 ||
-          *value > std::numeric_limits<int>::max()) {
-        *error = "--shards expects an integer >= 1, got '" +
-                 std::string(arg.substr(9)) + "'";
-        return std::nullopt;
-      }
-      args.shards = static_cast<int>(*value);
-    } else if (arg == "--shards") {
-      *error = "--shards requires an attached value: --shards=N";
-      return std::nullopt;
     } else if (arg.rfind("--proxy-cost=", 0) == 0) {
       const auto value = parse_uint(arg.substr(13));
       if (!value || *value > std::numeric_limits<int>::max()) {
@@ -121,7 +109,7 @@ std::string bench_usage(std::string_view argv0) {
   usage += argv0;
   usage +=
       " [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]\n"
-      "       [--batch=N] [--no-batch] [--shards=N] [--proxy-cost=US]\n"
+      "       [--batch=N] [--no-batch] [--proxy-cost=US]\n"
       "  --reps N     repetitions per configuration (default: the paper's "
       "count)\n"
       "  --fast       shrink durations/repetitions for smoke runs\n"
@@ -135,9 +123,6 @@ std::string bench_usage(std::string_view argv0) {
       "  --batch=N    events per dispatch batch / arrivals per client block\n"
       "               (default 64); results are byte-identical for every N\n"
       "  --no-batch   per-event dispatch (equivalent to --batch=1)\n"
-      "  --shards=N   simulator shards for the conservative-lookahead\n"
-      "               parallel engine (default 1); results are\n"
-      "               byte-identical for every N\n"
       "  --proxy-cost=US\n"
       "               per-request sidecar CPU in microseconds for the\n"
       "               data-plane cost model (default 0 = model off;\n"

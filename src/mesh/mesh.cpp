@@ -120,10 +120,8 @@ Proxy& Mesh::proxy(ClusterId source, const std::string& service) {
       sim_, wan_, source, split_ref, std::move(deployments),
       *registries_[source],
       config_.health_probe_interval > 0.0 ? &health_ : nullptr,
-      rng_.split("proxy/" + names_[source] + "/" + service), pc, names_);
-  if (config_.shard_router != nullptr) {
-    proxy->enable_presampled(config_.shard_router);
-  }
+      rng_.split("proxy/" + names_[source] + "/" + service), pc, names_,
+      config_.shard_router);
   proxy->set_tracer(tracer_);
   Proxy& ref = *proxy;
   proxies_.emplace(key, std::move(proxy));

@@ -18,9 +18,11 @@ Proxy::Proxy(sim::Simulator& sim, const WanModel& wan, ClusterId source,
              TrafficSplit& split, std::vector<ServiceDeployment*> deployments,
              metrics::Registry& registry, const HealthChecker* health,
              SplitRng rng, ProxyConfig config,
-             const std::vector<std::string>& cluster_names)
+             const std::vector<std::string>& cluster_names,
+             sim::ShardRouter* router)
     : sim_(sim),
       wan_(wan),
+      router_(router),
       source_(source),
       src_name_(cluster_names.at(source)),
       proxy_span_name_("proxy:" + split.service()),
@@ -385,116 +387,88 @@ void Proxy::send(int depth, trace::SpanContext parent, ResponseFn done) {
   // its sidecar work is done. No extra event, no RNG draw — with the model
   // disabled cost_delay is exactly 0.0 and every event time below is
   // bit-identical to a build without it.
+  const SimTime now = sim_.now();
   const SimDuration cost_delay = cost_enabled_ ? admit_cost(idx) : 0.0;
-  const SimDuration outbound =
-      wan_.sample(source_, slot.deployment->cluster(), sim_.now(), rng_);
-  if (presampled_) {
-    send_presampled(handle, depth, slot, cost_delay + outbound);
-    return;
-  }
-  if (state.span.sampled()) {
-    tracer_->add_span(state.span, trace::SpanKind::kWan, slot.wan_out_name,
-                      src_name_, split_.service(), sim_.now() + cost_delay,
-                      sim_.now() + cost_delay + outbound);
-  }
-  sim_.schedule_after(cost_delay + outbound, [this, handle, depth] {
-    CallState* st = calls_.get(handle);
-    L3_ASSERT(st != nullptr);  // the response chain holds the slot
-    BackendSlot& s = backends_[st->backend];
-    if (wan_.has_partitions() &&
-        wan_.is_partitioned(source_, s.deployment->cluster(), sim_.now())) {
-      // The link died while the request was in transit (or the partitioned
-      // backend was the all-unavailable fallback): the request is dropped
-      // on the floor and the connection resets — a fast failure, not a
-      // full client-timeout wait.
-      on_response(handle, Outcome{.success = false, .rejected = true});
-      return;
-    }
-    s.deployment->handle(
-        depth + 1, st->span, [this, handle](const Outcome& outcome) {
-          CallState* st2 = calls_.get(handle);
-          L3_ASSERT(st2 != nullptr);
-          const BackendSlot& s2 = backends_[st2->backend];
-          // Sampled even when a timeout already answered the caller: the
-          // draw sequence of the proxy's RNG stream must not depend on
-          // response/timeout ordering (determinism contract).
-          const SimDuration inbound =
-              wan_.sample(s2.deployment->cluster(), source_, sim_.now(), rng_);
-          if (st2->span.sampled()) {
-            tracer_->add_span(st2->span, trace::SpanKind::kWan,
-                              s2.wan_in_name, src_name_, split_.service(),
-                              sim_.now(), sim_.now() + inbound);
-          }
-          // A partition racing the response direction loses the response:
-          // the backend did the work but the client sees a failure.
-          Outcome delivered = outcome;
-          if (wan_.has_partitions() &&
-              wan_.is_partitioned(s2.deployment->cluster(), source_,
-                                  sim_.now())) {
-            delivered = Outcome{.success = false, .rejected = false};
-          }
-          sim_.schedule_after(inbound, [this, handle, delivered] {
-            on_response(handle, delivered);
-          });
-        });
-  });
-}
-
-void Proxy::enable_presampled(sim::ShardRouter* router) {
-  L3_EXPECTS(router != nullptr);
-  // The dest-side leg executes on another shard, where this proxy's tracer
-  // and RNG must never be touched; tracing is therefore incompatible, and
-  // the discipline must be fixed before traffic flows.
-  L3_EXPECTS(tracer_ == nullptr);
-  L3_EXPECTS(sent_ == 0);
-  router_ = router;
-  presampled_ = true;
-}
-
-void Proxy::send_presampled(CallHandle handle, int depth, BackendSlot& slot,
-                            SimDuration outbound) {
   ServiceDeployment* const dep = slot.deployment;
   const ClusterId dst = dep->cluster();
-  // Both transit legs are drawn here, source-side, back to back — the dest
-  // shard's streams are never touched, so the proxy's draw sequence (and
-  // with it every downstream result) is invariant to how clusters map onto
-  // shards. This differs from the legacy discipline, which draws the
-  // return leg dest-side at completion time; presampled runs have their
-  // own goldens.
-  const SimDuration inbound = wan_.sample(dst, source_, sim_.now(), rng_);
-  const SimTime arrive = sim_.now() + outbound;
+  // Both transit legs are drawn here, source-side, back to back: the
+  // destination's streams are never touched, so the proxy's draw sequence
+  // (and with it every downstream result) does not depend on where — or on
+  // which shard — the destination side runs.
+  const SimDuration outbound =
+      cost_delay + wan_.sample(source_, dst, now, rng_);
+  const SimDuration inbound = wan_.sample(dst, source_, now, rng_);
+  const SimTime arrive = now + outbound;
+  if (state.span.sampled()) {
+    tracer_->add_span(state.span, trace::SpanKind::kWan, slot.wan_out_name,
+                      src_name_, split_.service(), now + cost_delay, arrive);
+  }
   if (wan_.has_partitions() && wan_.is_partitioned(source_, dst, arrive)) {
-    // Same fast-failure semantics as the legacy arrival-time check:
-    // partitions are registered up front, so the verdict at `arrive` is
-    // already computable here on the source shard.
-    sim_.schedule_after(outbound, [this, handle] {
+    // The link is down when the request would land (or the partitioned
+    // backend was the all-unavailable fallback): the request is dropped on
+    // the floor and the connection resets — a fast failure, not a full
+    // client-timeout wait. Partitions are registered up front, so the
+    // verdict at `arrive` is already known here.
+    sim_.schedule_at(arrive, [this, handle] {
       on_response(handle, Outcome{.success = false, .rejected = true});
     });
     return;
   }
-  // Posted under the (source cluster, seq) key; runs at `arrive` on the
-  // shard owning `dst`. From there until the response lands back home only
-  // `dep`, the shared engine and this proxy's immutable fields may be
-  // touched.
-  router_->post(source_, dst, arrive, [this, dep, handle, depth, inbound] {
-    dep->handle(
-        depth + 1, [this, dep, handle, inbound](const Outcome& outcome) {
-          sim::Simulator& dest_sim = dep->sim();
-          const ClusterId dest = dep->cluster();
-          Outcome delivered = outcome;
-          // The dest shard's WAN copy is configured identically to the
-          // source's, so the return-partition verdict matches what the
-          // legacy dest-side check would conclude.
-          const WanModel& dest_wan = dep->mesh().wan();
-          if (dest_wan.has_partitions() &&
-              dest_wan.is_partitioned(dest, source_, dest_sim.now())) {
-            delivered = Outcome{.success = false, .rejected = false};
-          }
-          router_->engine().router_for_cluster(dest).post(
-              dest, source_, dest_sim.now() + inbound,
-              [this, handle, delivered] { on_response(handle, delivered); });
-        });
-  });
+  // From here until the response lands back home, the closures run on the
+  // destination's simulator: on a routed proxy they may touch only `dep`,
+  // the destination's mesh and this proxy's immutable fields — never
+  // calls_. An unrouted proxy shares one simulator with the destination,
+  // so the traced path may read the call's span from calls_.
+  auto on_arrival = [this, dep, handle, depth, inbound] {
+    trace::SpanContext parent{};
+    if (traced_here()) {
+      const CallState* st = calls_.get(handle);
+      L3_ASSERT(st != nullptr);  // the response chain holds the slot
+      parent = st->span;
+    }
+    auto on_outcome = [this, dep, handle, inbound](const Outcome& outcome) {
+      const SimTime done_at = dep->sim().now();
+      const ClusterId dest = dep->cluster();
+      if (traced_here()) {
+        const CallState* st = calls_.get(handle);
+        L3_ASSERT(st != nullptr);
+        if (st->span.sampled()) {
+          tracer_->add_span(st->span, trace::SpanKind::kWan,
+                            backends_[st->backend].wan_in_name, src_name_,
+                            split_.service(), done_at, done_at + inbound);
+        }
+      }
+      // A partition racing the response direction loses the response: the
+      // backend did the work but the client sees a failure. Decided now,
+      // on the destination's WAN copy (identical to the source's).
+      Outcome delivered = outcome;
+      const WanModel& dest_wan = dep->mesh().wan();
+      if (dest_wan.has_partitions() &&
+          dest_wan.is_partitioned(dest, source_, done_at)) {
+        delivered = Outcome{.success = false, .rejected = false};
+      }
+      auto on_return = [this, handle, delivered] {
+        on_response(handle, delivered);
+      };
+      static_assert(sim::EventFn::fits_inline<decltype(on_return)>());
+      deliver(dest, source_, done_at + inbound, std::move(on_return));
+    };
+    static_assert(OutcomeFn::fits_inline<decltype(on_outcome)>());
+    dep->handle(depth + 1, parent, std::move(on_outcome));
+  };
+  static_assert(sim::EventFn::fits_inline<decltype(on_arrival)>());
+  deliver(source_, dst, arrive, std::move(on_arrival));
+}
+
+void Proxy::deliver(ClusterId from, ClusterId to, SimTime at,
+                    sim::EventFn fn) {
+  if (router_ != nullptr) {
+    // Keyed by (from, seq) and run by the shard that owns `to`.
+    router_->engine().router_for_cluster(from).post(from, to, at,
+                                                    std::move(fn));
+  } else {
+    sim_.schedule_at(at, std::move(fn));
+  }
 }
 
 void Proxy::on_response(CallHandle handle, const Outcome& outcome) {

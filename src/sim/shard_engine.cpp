@@ -87,7 +87,7 @@ void ShardRouter::run_until(SimTime end) {
     if (safe > end) {
       // Final window: every message still in flight toward this shard
       // arrives strictly after `end`. Run inclusively, exactly like the
-      // legacy loop, and release the peers for good.
+      // plain loop, and release the peers for good.
       sim_->run_until(end);
       flush_all();
       engine_->publish(shard_, kInf);
@@ -95,7 +95,7 @@ void ShardRouter::run_until(SimTime end) {
       return;
     }
     // Execute strictly below `safe`: t < safe  <=>  t <= pred(safe), so the
-    // legacy inclusive run_until needs no new entry point.
+    // plain inclusive run_until needs no new entry point.
     sim_->run_until(std::nextafter(safe, -kInf));
     flush_all();
     engine_->publish(shard_, safe);

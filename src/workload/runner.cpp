@@ -172,10 +172,9 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
         [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
   }
 
-  // Run, then drain outstanding responses. With --shards=N > 1 the run goes
-  // through the shard engine: the fig topologies are RNG-coupled through
-  // the legacy WAN discipline (the return delay is drawn dest-side on the
-  // proxy's stream), so every cluster stays on shard 0 and the extra shards
+  // Run, then drain outstanding responses. With shards > 1 the run goes
+  // through the shard engine, but the runner builds one Simulator holding
+  // every cluster, so every cluster stays on shard 0 and the extra shards
   // idle at a +inf horizon — shard 0 then sees no coupled peer and executes
   // the whole run in a single window, byte-identical to the plain loop.
   if (config.shards <= 1) {

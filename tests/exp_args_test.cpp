@@ -112,9 +112,12 @@ TEST(BenchArgsTest, RejectsInvalidJobs) {
 }
 
 TEST(BenchArgsTest, RejectsUnknownFlags) {
-  std::string error;
-  EXPECT_FALSE(parse({"--frobnicate"}, &error).has_value());
-  EXPECT_NE(error.find("--frobnicate"), std::string::npos);
+  // No --shards=N: a bench cell builds one simulator, so it cannot shard.
+  for (const char* bad : {"--frobnicate", "--shards=2"}) {
+    std::string error;
+    EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
+    EXPECT_NE(error.find(bad), std::string::npos) << bad;
+  }
 }
 
 TEST(BenchArgsTest, BatchDefaultsToDispatchBatch) {
@@ -171,7 +174,6 @@ TEST(BenchArgsTest, UsageMentionsEveryFlag) {
   EXPECT_NE(usage.find("--profile"), std::string::npos);
   EXPECT_NE(usage.find("--batch=N"), std::string::npos);
   EXPECT_NE(usage.find("--no-batch"), std::string::npos);
-  EXPECT_NE(usage.find("--shards=N"), std::string::npos);
   EXPECT_NE(usage.find("--proxy-cost=US"), std::string::npos);
 }
 
@@ -196,11 +198,10 @@ TEST(BenchArgsTest, ProxyCostZeroIsExplicitlyAllowed) {
 
 TEST(BenchArgsTest, ProxyCostComposesWithOtherFlags) {
   const auto args =
-      parse({"--fast", "--proxy-cost=100", "--shards=2", "--jobs", "3"});
+      parse({"--fast", "--proxy-cost=100", "--jobs", "3"});
   ASSERT_TRUE(args.has_value());
   EXPECT_TRUE(args->fast);
   EXPECT_EQ(args->proxy_cost_us, 100);
-  EXPECT_EQ(args->shards, 2);
   EXPECT_EQ(args->jobs, 3);
 }
 
@@ -219,45 +220,6 @@ TEST(BenchArgsTest, RejectsDetachedProxyCostValue) {
   EXPECT_FALSE(parse({"--proxy-cost"}, &error).has_value());
   EXPECT_NE(error.find("--proxy-cost"), std::string::npos);
   EXPECT_FALSE(parse({"--proxy-cost", "100"}).has_value());
-}
-
-TEST(BenchArgsTest, ShardsDefaultsToOne) {
-  const auto args = parse({});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->shards, 1);
-}
-
-TEST(BenchArgsTest, ParsesShardsValue) {
-  const auto args = parse({"--shards=4"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->shards, 4);
-}
-
-TEST(BenchArgsTest, ShardsComposesWithOtherFlags) {
-  const auto args =
-      parse({"--fast", "--shards=2", "--jobs", "3", "--batch=8"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_TRUE(args->fast);
-  EXPECT_EQ(args->shards, 2);
-  EXPECT_EQ(args->jobs, 3);
-  EXPECT_EQ(args->batch, 8);
-}
-
-TEST(BenchArgsTest, RejectsInvalidShardsValues) {
-  std::string error;
-  EXPECT_FALSE(parse({"--shards=0"}, &error).has_value());
-  EXPECT_NE(error.find("--shards"), std::string::npos);
-  EXPECT_FALSE(parse({"--shards=abc"}).has_value());
-  EXPECT_FALSE(parse({"--shards=-2"}).has_value());
-  EXPECT_FALSE(parse({"--shards=2.5"}).has_value());
-  EXPECT_FALSE(parse({"--shards="}).has_value());
-}
-
-TEST(BenchArgsTest, RejectsDetachedShardsValue) {
-  std::string error;
-  EXPECT_FALSE(parse({"--shards"}, &error).has_value());
-  EXPECT_NE(error.find("--shards"), std::string::npos);
-  EXPECT_FALSE(parse({"--shards", "4"}).has_value());
 }
 
 }  // namespace

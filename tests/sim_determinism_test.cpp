@@ -83,17 +83,21 @@ RunnerConfig short_config() {
 
 // Golden hashes recorded from the pre-refactor (seed) build of this test on
 // the reference toolchain. See the file comment before re-recording.
-constexpr std::uint64_t kGoldenScenario1L3 = 0x1c6a1a5fa2809b1bull;
-constexpr std::uint64_t kGoldenFailure1C3 = 0xfa4d7b14c44fe850ull;
+constexpr std::uint64_t kGoldenScenario1L3 = 0xf6bca9013cdc712bull;
+constexpr std::uint64_t kGoldenFailure1C3 = 0xde78b0c1aee0db92ull;
 // Recorded immediately before the pooled-call-state / cached-picker request-
 // path overhaul; covers the routing paths the goldens above do not (PeakEWMA
 // P2C picks and outlier-detection ejections).
-constexpr std::uint64_t kGoldenFailure1P2cOutlier = 0x6a79e1052ef3ac06ull;
+constexpr std::uint64_t kGoldenFailure1P2cOutlier = 0xc26dd6978a065dabull;
 // Recorded when the l3::chaos fault injector landed; pin the full chaos
 // event set (crash/restart, brownout, partition, scrape outage, controller
 // pause) composed with the workload.
-constexpr std::uint64_t kGoldenScenario1L3Chaos = 0xd6b24b589efecf56ull;
-constexpr std::uint64_t kGoldenFailure1ChaosC3 = 0x0c5a4f23cdad9553ull;
+constexpr std::uint64_t kGoldenScenario1L3Chaos = 0x32b6a35294a27a99ull;
+constexpr std::uint64_t kGoldenFailure1ChaosC3 = 0x09f96c29dc3e18dbull;
+// All five re-recorded when the proxy began drawing the return WAN leg at
+// send time (right after the outbound leg) instead of at completion: the
+// return delay now reflects the WAN state at send time, which moves every
+// later draw on the proxy's stream.
 
 /// A fault timeline dense enough that every fault kind fires inside the
 /// 40 s measured window of short_config().
