@@ -39,7 +39,7 @@ struct SurgeResult {
 };
 
 SurgeResult run(bool rate_control, std::uint64_t seed,
-                l3::obs::Recorder* recorder, std::size_t dispatch_batch) {
+                l3::obs::Recorder* recorder) {
   using namespace l3;
   // Inline harness (no workload::runner), so the recorder binds here.
   std::optional<obs::ScopedRecorderBind> recorder_bind;
@@ -56,7 +56,6 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
   }
 
   sim::Simulator sim;
-  sim.set_dispatch_batch(dispatch_batch);
   SplitRng root(seed);
   mesh::Mesh mesh(sim, root.split("mesh"));
   const auto c1 = mesh.add_cluster("cluster-1");
@@ -107,11 +106,9 @@ SurgeResult run(bool rate_control, std::uint64_t seed,
   controller.manage_all();
   controller.start();
 
-  workload::OpenLoopClient::Config client_config;
-  client_config.arrival_batch = dispatch_batch;
   workload::OpenLoopClient client(
       mesh, c1, "api", [&trace](SimTime t) { return trace.rps_at(t); },
-      root.split("client"), client_config);
+      root.split("client"));
   client.start(0.0, end);
   sim.run_until(end + 60.0);
 
@@ -153,14 +150,12 @@ int main(int argc, char** argv) {
   spec.policies = {"L3 with Algorithm 2", "L3 without"};
   spec.repetitions = reps;
   spec.seed = 42;
-  spec.cell = [profile = args.profile,
-               batch = static_cast<std::size_t>(args.batch)](
-                  const exp::Cell& cell,
-                  std::uint64_t seed) -> exp::CellData {
+  spec.cell = [profile = args.profile](const exp::Cell& cell,
+                                       std::uint64_t seed) -> exp::CellData {
     std::optional<obs::Recorder> recorder;
     if (profile) recorder.emplace();
     const auto r = run(cell.policy == 0, seed,
-                       recorder ? &*recorder : nullptr, batch);
+                       recorder ? &*recorder : nullptr);
     exp::CellData data;
     data.metrics = {{"p99_steady", r.p99_steady},
                     {"p99_surge", r.p99_surge},

@@ -136,10 +136,10 @@ void BM_ScenarioGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioGeneration);
 
-/// Cumulative-weight search kernels head-to-head at the table sizes the
-/// runtime selector switches on (<=8 linear, <=32 multilane, else binary).
-/// Arg pair: (kernel, n). The draws are pre-generated so the loop times the
-/// search alone.
+/// Cumulative-weight search kernels head-to-head at table sizes on both
+/// sides of the runtime selector's switch (<=8 linear, else multilane), up
+/// to the 64 backends the availability mask admits. Arg pair: (kernel, n).
+/// The draws are pre-generated so the loop times the scalar search alone.
 void BM_WeightedPickKernel(benchmark::State& state) {
   const auto kernel =
       static_cast<mesh::pick::WeightedKernel>(state.range(0));
@@ -157,30 +157,17 @@ void BM_WeightedPickKernel(benchmark::State& state) {
     d = static_cast<std::uint64_t>(rng.uniform() *
                                    static_cast<double>(total));
   }
-  std::vector<std::uint32_t> out(kDraws);
   for (auto _ : state) {
-    mesh::pick::search_batch(kernel, cum.data(), n, draws.data(), kDraws,
-                             out.data());
-    benchmark::DoNotOptimize(out.data());
+    std::size_t sum = 0;
+    for (const std::uint64_t r : draws) {
+      sum += mesh::pick::search(kernel, cum.data(), n, r);
+    }
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kDraws));
 }
-BENCHMARK(BM_WeightedPickKernel)
-    ->ArgsProduct({{0, 1, 2}, {3, 8, 32, 128}});
-
-/// The runtime selector itself (override unset): a branch ladder over n,
-/// then the dispatch switch — this is the per-batch cost pick_weighted pays.
-void BM_KernelSelection(benchmark::State& state) {
-  const std::size_t sizes[] = {3, 8, 17, 32, 64, 200};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto k = mesh::pick::select_weighted_kernel(sizes[i]);
-    benchmark::DoNotOptimize(k);
-    i = i + 1 == std::size(sizes) ? 0 : i + 1;
-  }
-}
-BENCHMARK(BM_KernelSelection);
+BENCHMARK(BM_WeightedPickKernel)->ArgsProduct({{0, 1}, {3, 8, 32, 64}});
 
 }  // namespace
 

@@ -54,7 +54,7 @@ namespace l3::obs {
 
 /// Profiled subsystems (one scoped timer each). Order is the export order.
 enum class ScopeId : std::uint8_t {
-  kSimDispatch = 0,   ///< EventQueue::dispatch_min via Simulator run loop
+  kSimDispatch = 0,   ///< EventQueue::dispatch_batch via the Simulator
   kPickerRebuild,     ///< Proxy cumulative-weight table rebuild
   kWeightedPick,      ///< Proxy::pick_weighted
   kP2cPick,           ///< Proxy::pick_p2c
@@ -84,7 +84,6 @@ enum class CounterId : std::uint8_t {
   kMeshConnExpired,    ///< idle connections pruned by idle_timeout
   kPickKernelLinear,   ///< weighted picks served by the linear-scan kernel
   kPickKernelMultiLane,///< weighted picks served by the multi-lane kernel
-  kPickKernelBinary,   ///< weighted picks served by the binary-search kernel
   kPickKernelP2c,      ///< P2C picks (cached-candidate kernel)
   kTsdbSamples,        ///< scalar + histogram samples appended
   kScraperSeries,      ///< series copied registry -> TSDB

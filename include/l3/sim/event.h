@@ -11,11 +11,12 @@
 //     kInlineCapacity bytes in place and only falls back to the heap for
 //     oversized callables.
 //   * priority_queue::top() returns a const reference, forcing a const_cast
-//     to move the callable out before pop(). EventQueue::pop_min() moves the
-//     root out safely. And a monolithic heap pays a full-depth, random-
-//     access sift-down per pop once the pending set outgrows the cache;
-//     the tiered queue keeps its heap small and does the rest of its
-//     bookkeeping as sequential sorts and merges.
+//     to move the callable out before pop(). EventQueue::dispatch_batch()
+//     invokes the callable in its pool slot instead, so it never moves. And
+//     a monolithic heap pays a full-depth, random-access sift-down per pop
+//     once the pending set outgrows the cache; the tiered queue keeps its
+//     heap small and does the rest of its bookkeeping as sequential sorts
+//     and merges.
 #pragma once
 
 #include "l3/common/assert.h"
@@ -39,20 +40,6 @@ namespace l3::sim {
 /// still schedules inline.
 using EventFn = common::SmallFn<void(), 48>;
 
-/// One queued event. `seq` breaks timestamp ties FIFO, which is what makes
-/// equal-time events fire in scheduling order (the determinism contract).
-struct Event {
-  SimTime time = 0.0;
-  std::uint64_t seq = 0;
-  EventFn fn;
-
-  /// Strict weak ordering: earlier time first, then lower seq.
-  friend bool earlier(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-};
-
 /// Tiered pending-event queue: a small 4-ary min-heap front backed by a
 /// sorted run and an unsorted staging buffer (a lazy queue in the spirit of
 /// Ronngren & Ayani).
@@ -73,9 +60,9 @@ struct Event {
 /// single cache line. The EventFns sit in a chunked slot pool on the side,
 /// their indices recycled through a free list; callables never move between
 /// tiers, and are moved exactly once in their queue lifetime (in at push —
-/// dispatch_min() invokes them in place; only pop_min() moves them out).
-/// Steady state runs allocation-free: pool and buffers high-watermark at
-/// the maximum number of concurrently pending events.
+/// dispatch_batch() invokes them in place). Steady state runs
+/// allocation-free: pool and buffers high-watermark at the maximum number
+/// of concurrently pending events.
 ///
 /// Determinism: the pop order is exactly ascending (time, seq). Within the
 /// heap that is the sift order; across tiers it follows from the invariant
@@ -103,6 +90,9 @@ class EventQueue {
     return entries_.front().time;
   }
 
+  /// Queues `fn` at `time`. `seq` breaks timestamp ties FIFO, which is what
+  /// makes equal-time events fire in scheduling order (the determinism
+  /// contract).
   void push(SimTime time, std::uint64_t seq, EventFn fn) {
     L3_EXPECTS(seq <= kMaxSeq);
     std::uint32_t slot;
@@ -128,64 +118,18 @@ class EventQueue {
     }
   }
 
-  void push(Event ev) { push(ev.time, ev.seq, std::move(ev.fn)); }
-
-  /// Removes and returns the earliest event by move — no const_cast, no
-  /// copy of the callable.
-  Event pop_min() {
-    L3_EXPECTS(!empty());
-    if (entries_.empty()) refill();
-    const Entry top = entries_.front();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-#if defined(__GNUC__)
-    // The slot pool is randomly accessed; start the load now so it overlaps
-    // with the sift below instead of stalling the move-out.
-    __builtin_prefetch(&slot_ref(slot));
-#endif
-    entries_.front() = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
-    free_slots_.push_back(slot);
-    return Event{top.time, top.seq_slot >> kSlotBits,
-                 std::move(slot_ref(slot))};
-  }
-
-  /// Pops the earliest event and invokes `sink(time, fn)` with the callable
-  /// still in its pool slot — no move-out. The slot is reclaimed only after
-  /// the sink returns, and chunked slot storage guarantees the reference
-  /// stays valid even when the sink re-enters push() (new pushes may add a
-  /// chunk but never relocate existing ones). This is the dispatch loop's
-  /// fast path: pop_min() pays a full SmallFn relocation per event, which
-  /// for closures holding nested callbacks is an indirect relocate chain.
-  template <typename Sink>
-  void dispatch_min(Sink&& sink) {
-    L3_EXPECTS(!empty());
-    if (entries_.empty()) refill();
-    const Entry top = entries_.front();
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-    EventFn& fn = slot_ref(slot);
-#if defined(__GNUC__)
-    __builtin_prefetch(&fn);
-#endif
-    entries_.front() = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) sift_down(0);
-    sink(top.time, fn);
-    fn.reset();
-    free_slots_.push_back(slot);
-  }
-
-  /// Drains up to `max_n` events with time <= `end`, invoking
-  /// `sink(time, fn) -> bool` for each with the callable in place, exactly
-  /// as that many dispatch_min() calls would — the pop order (time, seq) is
-  /// untouched, re-entrant pushes are observed immediately (an event
-  /// scheduling at the current timestamp is popped within the same batch),
-  /// and a `false` return from the sink ends the batch after that event.
-  /// What batching buys is the per-event caller overhead: one outer-loop
-  /// iteration, one empty()/min_time() probe and one instrumentation record
-  /// per batch instead of per event. Returns the number dispatched.
+  /// The queue's only pop. Drains up to `max_n` events with time <= `end`
+  /// in (time, seq) order, invoking `sink(time, fn) -> bool` for each with
+  /// the callable still in its pool slot — no move-out. The slot is
+  /// reclaimed only after the sink returns, and chunked slot storage keeps
+  /// the reference valid even when the sink re-enters push() (new pushes
+  /// may add a chunk but never relocate existing ones). Re-entrant pushes
+  /// are observed immediately (an event scheduling at the current timestamp
+  /// is popped within the same batch), and a `false` return from the sink
+  /// ends the batch after that event. The order never depends on `max_n`;
+  /// a larger batch only amortizes the caller's per-call overhead (one
+  /// outer-loop iteration, one empty()/min_time() probe and one
+  /// instrumentation record per batch). Returns the number dispatched.
   template <typename Sink>
   std::size_t dispatch_batch(SimTime end, std::size_t max_n, Sink&& sink) {
     std::size_t n = 0;
@@ -384,7 +328,7 @@ class EventQueue {
   std::size_t run_head_ = 0;
   // Slot pool for the EventFns, stored in fixed-size chunks so a slot's
   // address never changes once allocated. That stability is what lets
-  // dispatch_min() hand out a reference into the pool while the callable
+  // dispatch_batch() hand out a reference into the pool while the callable
   // runs: re-entrant pushes can grow the pool by appending a chunk, but
   // never relocate live slots the way a flat vector's reallocation would.
   static constexpr std::size_t kChunkShift = 8;

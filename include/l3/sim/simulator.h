@@ -122,6 +122,7 @@ class Simulator {
   std::size_t run_for(SimDuration duration) { return run_until(now_ + duration); }
 
   /// Processes a single event, if any; returns whether one was processed.
+  /// A dispatch batch of one with no end time: the same pop run_until makes.
   bool step();
 
   /// Requests the current run_until call to return after the in-flight
@@ -134,8 +135,8 @@ class Simulator {
   static constexpr std::size_t kDefaultDispatchBatch = 64;
 
   /// Sets the max events drained per dispatch batch (clamped to >= 1).
-  /// Batching never reorders events; 1 restores the strictly per-event
-  /// loop (the --no-batch A/B baseline).
+  /// Batching never reorders events; 1 drains one event per batch, the
+  /// same single pop step() makes.
   void set_dispatch_batch(std::size_t n) {
     dispatch_batch_ = n < 1 ? 1 : n;
   }

@@ -3,16 +3,16 @@
 # and runs ctest for each, runs the concurrency-sensitive tests (experiment
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
-# jobs-invariance smoke diffs on figure benches (plain, chaos, --profile,
-# and --no-batch), a --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF
+# jobs-invariance smoke diffs on figure benches (plain, chaos and
+# --profile), a --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF
 # byte-identical golden, then the Release-mode gates: the flight-recorder
-# overhead gate, the batched pick-path gate (batched >= 1.5x scalar picks,
-# in-process), the sharded-mega gate (shards=4 req/s >= a fixed fraction of
-# shards=1 req/s, in-process), and a per-kernel micro-bench smoke. Every
-# ctest run includes the machine-independent throughput guards: picker
-# table not rebuilt per pick, mega-shaped control plane keeps its scrape
-# plans and window cursors, and proxy saturation compresses L3's share
-# skew >= 1.5x. Shard-count
+# overhead gate (median of interleaved runs, in-process), the sharded-mega
+# gate (shards=4 req/s >= a fixed fraction of shards=1 req/s, in-process),
+# and a per-kernel micro-bench smoke. Dispatch-batch invariance is gated in
+# ctest (BatchedTraceIdentity.*). Every ctest run includes the
+# machine-independent throughput guards: picker table not rebuilt per pick,
+# mega-shaped control plane keeps its scrape plans and window cursors, and
+# proxy saturation compresses L3's share skew >= 1.5x. Shard-count
 # invariance is gated in ctest by the mega digest tests
 # (Mega.DigestIsShardCountInvariant and friends): mega is the workload that
 # really partitions clusters across shards. Every ctest run also smoke-runs
@@ -45,9 +45,10 @@ for preset in "${presets[@]}"; do
     # invariant the request-path overhaul leans on, and the chaos crash /
     # injector tests, which recycle those handles mid-flight.
     # ...and the obs recorder's multi-thread shard merge.
-    # ...plus the batched dispatch and pick-kernel suites: the batch path
-    # shares the EventQueue slot pool and the picker caches the overhaul
-    # leans on, so their invariants get the same TSan coverage.
+    # ...plus the batched dispatch and pick-kernel suites: dispatch batches
+    # share the EventQueue slot pool, and the pick kernels read the picker
+    # caches the overhaul leans on, so their invariants get the same TSan
+    # coverage.
     # ...plus the shard engine and mailbox suites: the conservative-barrier
     # handshake and the staging/inbox handoff are the only cross-thread
     # channels in the sharded simulator, so they run under TSan in full
@@ -111,16 +112,6 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   done
   echo "    profiled output byte-identical at --jobs 1 and --jobs 2"
 
-  # Batch-identity smoke: --no-batch restores the strictly per-event loop,
-  # which must produce byte-identical stdout and JSON to the batched
-  # default (batching is a pure dispatch-overhead optimization).
-  echo "==> [default] --no-batch identity smoke (fig10_scenarios)"
-  ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --no-batch \
-      --json "$smoke_dir/nb.json" > "$smoke_dir/nb.out"
-  diff "$smoke_dir/j1.out" "$smoke_dir/nb.out"
-  diff "$smoke_dir/j1.json" "$smoke_dir/nb.json"
-  echo "    byte-identical with --no-batch"
-
   # Zero-cost proxy identity: an explicit --proxy-cost=0 arms the whole
   # ProxyCostConfig plumbing (runner -> mesh -> proxy) with zero-valued
   # knobs, which must not move a single byte of stdout or JSON relative
@@ -158,30 +149,29 @@ cmake --preset release-bench >/dev/null
 cmake --build --preset release-bench -j "$(nproc)" --target sim_core
 cmake --build --preset release-bench -j "$(nproc)" --target trace_overhead
 
-# Flight-recorder overhead gate: a full scenario with the recorder bound
-# must finish within 5% of the unrecorded run, produce identical simulation
-# results, and cover >= 6 instrumented subsystems (exits non-zero on any
-# violation; see bench/trace_overhead.cpp --obs-gate).
+# Flight-recorder overhead gate: scenario-1 with the recorder bound must
+# finish within 5% of the unrecorded run (medians of 5 interleaved samples),
+# produce identical simulation results, and cover >= 6 instrumented
+# subsystems (exits non-zero on any violation; see bench/trace_overhead.cpp
+# --obs-gate).
 echo "==> [release-bench] obs recorder overhead gate"
-./build-release/bench/trace_overhead --obs-gate 5 --obs-gate-reps 3
+./build-release/bench/trace_overhead --obs-gate
 
-# In-process ratio gates (bench/sim_core.cpp; exits non-zero on a
-# violation): batched picks >= 1.5x scalar on the same proxy (under that the
-# batch path lost its fused table loads), and the 10k-backend mega scenario
-# at shards=4 >= kShardRatioFloor x its shards=1 req/s (a barrier taken per
-# event falls well under).
-echo "==> [release-bench] sim_core ratio gates"
+# In-process ratio gate (bench/sim_core.cpp; exits non-zero on a
+# violation): the 10k-backend mega scenario at shards=4 >= kShardRatioFloor
+# x its shards=1 req/s (a barrier taken per event falls well under).
+echo "==> [release-bench] sim_core sharded-mega gate"
 ./build-release/bench/sim_core
 
-# Pick-kernel micro bench smoke: every (kernel, table size) pair runs and
-# the selector itself stays cheap. Output is informational; failure to run
-# (bad kernel id, out-of-bounds table) aborts the script.
+# Pick-kernel micro bench smoke: every (kernel, table size) pair runs.
+# Output is informational; failure to run (bad kernel id, out-of-bounds
+# table) aborts the script.
 echo "==> [release-bench] pick-kernel micro bench"
 cmake --build --preset release-bench -j "$(nproc)" --target micro_algorithms \
   >/dev/null
 ./build-release/bench/micro_algorithms \
-  --benchmark_filter='BM_WeightedPickKernel|BM_KernelSelection' \
+  --benchmark_filter='BM_WeightedPickKernel' \
   --benchmark_min_time=0.05 2>/dev/null | grep -E 'BM_|items_per_second' \
   | head -20
 
-echo "All checks passed: ${presets[*]} (ctest incl. picker-rebuild, control-plane cache and proxy-cost gates) + obs gate + batch-pick gate + sharded-mega gate + pick-kernel smoke"
+echo "All checks passed: ${presets[*]} (ctest incl. picker-rebuild, control-plane cache and proxy-cost gates) + obs gate + sharded-mega gate + pick-kernel smoke"

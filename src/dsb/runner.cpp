@@ -26,7 +26,6 @@ workload::RunResult run_app(workload::PolicyKind kind,
                             const DsbRunnerConfig& config,
                             const char* scenario_label, MakeApp make_app) {
   sim::Simulator sim;
-  sim.set_dispatch_batch(config.dispatch_batch);
 
   std::optional<obs::Recorder> recorder;
   std::optional<obs::ScopedRecorderBind> recorder_bind;
@@ -86,7 +85,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
   const SimTime t1 = config.warmup + config.duration;
   workload::OpenLoopClient::Config client_config;
   client_config.mode = workload::CallMode::kLocalDirect;
-  client_config.arrival_batch = config.dispatch_batch;
+  client_config.arrival_batch = sim::Simulator::kDefaultDispatchBatch;
   workload::OpenLoopClient client(
       mesh, c1, AppT::kFrontend, [rps = config.rps](SimTime) { return rps; },
       root.split("client"), client_config);

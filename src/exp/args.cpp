@@ -51,22 +51,6 @@ std::optional<BenchArgs> try_parse_bench_args(int argc, char** argv,
       args.fast = true;
     } else if (arg == "--profile") {
       args.profile = true;
-    } else if (arg == "--no-batch") {
-      args.batch = 1;
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      const auto value = parse_uint(arg.substr(8));
-      if (!value || *value < 1 ||
-          *value > std::numeric_limits<int>::max()) {
-        *error = "--batch expects an integer >= 1, got '" +
-                 std::string(arg.substr(8)) + "'";
-        return std::nullopt;
-      }
-      args.batch = static_cast<int>(*value);
-    } else if (arg == "--batch") {
-      // The value is attached (--batch=N), matching --no-batch's shape; a
-      // detached value would make `--batch --fast` ambiguous.
-      *error = "--batch requires an attached value: --batch=N";
-      return std::nullopt;
     } else if (arg.rfind("--proxy-cost=", 0) == 0) {
       const auto value = parse_uint(arg.substr(13));
       if (!value || *value > std::numeric_limits<int>::max()) {
@@ -109,7 +93,7 @@ std::string bench_usage(std::string_view argv0) {
   usage += argv0;
   usage +=
       " [--reps N] [--fast] [--jobs N] [--json PATH] [--profile]\n"
-      "       [--batch=N] [--no-batch] [--proxy-cost=US]\n"
+      "       [--proxy-cost=US]\n"
       "  --reps N     repetitions per configuration (default: the paper's "
       "count)\n"
       "  --fast       shrink durations/repetitions for smoke runs\n"
@@ -120,9 +104,6 @@ std::string bench_usage(std::string_view argv0) {
       "  --profile    self-profile every cell (flight recorder + timers);\n"
       "               adds a deterministic `profile` block to the JSON and\n"
       "               a wall-time table on stderr; results are unchanged\n"
-      "  --batch=N    events per dispatch batch / arrivals per client block\n"
-      "               (default 64); results are byte-identical for every N\n"
-      "  --no-batch   per-event dispatch (equivalent to --batch=1)\n"
       "  --proxy-cost=US\n"
       "               per-request sidecar CPU in microseconds for the\n"
       "               data-plane cost model (default 0 = model off;\n"

@@ -27,7 +27,6 @@ constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "rt.counter.mesh.conn_expired",
     "rt.counter.mesh.pick_kernel.linear",
     "rt.counter.mesh.pick_kernel.multilane",
-    "rt.counter.mesh.pick_kernel.binary",
     "rt.counter.mesh.pick_kernel.p2c",
     "rt.counter.tsdb.samples",
     "rt.counter.scraper.series",
@@ -114,12 +113,11 @@ std::string_view ProfileBlock::weighted_kernel_name() const {
     CounterId id;
     std::string_view name;
   };
-  // Ties break toward the first listed (selection order); in practice one
-  // kernel serves every pick of a run unless a test flips the override.
+  // Ties break toward the first listed (selection order); one kernel serves
+  // every pick of a run unless its splits straddle kLinearMax backends.
   constexpr Entry kEntries[] = {
       {CounterId::kPickKernelLinear, "linear"},
       {CounterId::kPickKernelMultiLane, "multilane"},
-      {CounterId::kPickKernelBinary, "binary"},
   };
   std::string_view best = "none";
   std::uint64_t best_count = 0;

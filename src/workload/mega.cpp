@@ -73,7 +73,6 @@ struct ShardState {
         root(cfg.seed),
         mesh(sim, root.split("mesh"), make_mesh_config(cfg, eng.router(shard))) {
     router.attach(sim);
-    sim.set_dispatch_batch(cfg.dispatch_batch);
     for (std::size_t r = 0; r < cfg.regions; ++r) {
       mesh.add_cluster("region-" + std::to_string(r));
     }
@@ -141,7 +140,7 @@ struct ShardState {
       controller->start();
 
       OpenLoopClient::Config cc;
-      cc.arrival_batch = config.dispatch_batch;
+      cc.arrival_batch = sim::Simulator::kDefaultDispatchBatch;
       auto client = std::make_unique<OpenLoopClient>(
           mesh, region, "api",
           [rps = config.rps_per_region](SimTime) { return rps; },

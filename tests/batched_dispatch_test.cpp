@@ -23,6 +23,7 @@ namespace {
 
 // --- EventQueue::dispatch_batch against the per-event loop ---------------
 
+// The per-event loop is a batch of one (what Simulator::step() pops).
 TEST(DispatchBatch, PopsInSameOrderAsDispatchMin) {
   sim::EventQueue batched;
   sim::EventQueue serial;
@@ -37,16 +38,17 @@ TEST(DispatchBatch, PopsInSameOrderAsDispatchMin) {
     serial.push(t, seq, [&serial_order, id] { serial_order.push_back(id); });
     ++seq;
   }
-  while (!serial.empty()) {
-    serial.dispatch_min([](SimTime, sim::EventFn& fn) { fn(); });
-  }
-  while (!batched.empty()) {
-    batched.dispatch_batch(std::numeric_limits<SimTime>::infinity(), 3,
+  const auto drain = [](sim::EventQueue& queue, std::size_t max_n) {
+    while (!queue.empty()) {
+      queue.dispatch_batch(std::numeric_limits<SimTime>::infinity(), max_n,
                            [](SimTime, sim::EventFn& fn) {
                              fn();
                              return true;
                            });
-  }
+    }
+  };
+  drain(serial, 1);
+  drain(batched, 3);
   EXPECT_EQ(batched_order, serial_order);
 }
 

@@ -113,56 +113,14 @@ TEST(BenchArgsTest, RejectsInvalidJobs) {
 
 TEST(BenchArgsTest, RejectsUnknownFlags) {
   // No --shards=N: a bench cell builds one simulator, so it cannot shard.
-  for (const char* bad : {"--frobnicate", "--shards=2"}) {
+  // No dispatch-batch flags: the batch size never changes a result, so it
+  // is not a bench option.
+  for (const char* bad :
+       {"--frobnicate", "--shards=2", "--batch=16", "--no-batch"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_NE(error.find(bad), std::string::npos) << bad;
   }
-}
-
-TEST(BenchArgsTest, BatchDefaultsToDispatchBatch) {
-  const auto args = parse({});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 64);
-}
-
-TEST(BenchArgsTest, ParsesBatchValue) {
-  const auto args = parse({"--batch=16"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 16);
-}
-
-TEST(BenchArgsTest, NoBatchRestoresPerEventLoop) {
-  const auto args = parse({"--no-batch"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_EQ(args->batch, 1);
-}
-
-TEST(BenchArgsTest, BatchComposesWithOtherFlags) {
-  const auto args = parse({"--fast", "--batch=8", "--jobs", "2"});
-  ASSERT_TRUE(args.has_value());
-  EXPECT_TRUE(args->fast);
-  EXPECT_EQ(args->batch, 8);
-  EXPECT_EQ(args->jobs, 2);
-}
-
-TEST(BenchArgsTest, RejectsInvalidBatchValues) {
-  for (const char* bad : {"--batch=0", "--batch=", "--batch=abc",
-                          "--batch=-4", "--batch=3.5",
-                          "--batch=99999999999999999999"}) {
-    std::string error;
-    EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
-    EXPECT_NE(error.find("--batch"), std::string::npos) << bad;
-  }
-}
-
-TEST(BenchArgsTest, RejectsDetachedBatchValue) {
-  // Strict form is --batch=N; a bare --batch (with or without a following
-  // token) must not silently parse.
-  std::string error;
-  EXPECT_FALSE(parse({"--batch"}, &error).has_value());
-  EXPECT_NE(error.find("--batch"), std::string::npos);
-  EXPECT_FALSE(parse({"--batch", "16"}).has_value());
 }
 
 TEST(BenchArgsTest, UsageMentionsEveryFlag) {
@@ -172,8 +130,6 @@ TEST(BenchArgsTest, UsageMentionsEveryFlag) {
   EXPECT_NE(usage.find("--jobs"), std::string::npos);
   EXPECT_NE(usage.find("--json"), std::string::npos);
   EXPECT_NE(usage.find("--profile"), std::string::npos);
-  EXPECT_NE(usage.find("--batch=N"), std::string::npos);
-  EXPECT_NE(usage.find("--no-batch"), std::string::npos);
   EXPECT_NE(usage.find("--proxy-cost=US"), std::string::npos);
 }
 

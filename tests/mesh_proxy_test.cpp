@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace l3::mesh {
 namespace {
@@ -303,11 +304,9 @@ TEST_F(PickerDistribution, PickerTableRebuiltOnlyOnWeightChange) {
   const std::uint64_t built = proxy.picker_rebuilds();
   EXPECT_GE(built, 1u);
 
-  // Unchanged weights and availability: scalar and batched picks reuse the
-  // cached table (a per-pick rebuild would add one per pick here).
+  // Unchanged weights and availability: picks reuse the cached table (a
+  // per-pick rebuild would add one per pick here).
   count_picks(proxy, 5000);
-  std::uint32_t block[64] = {};
-  for (int i = 0; i < 50; ++i) proxy.pick_backend_batch(block, 64);
   EXPECT_EQ(proxy.picker_rebuilds(), built);
 
   // A weight change invalidates the table once.
@@ -379,6 +378,48 @@ TEST(ProxyCallPool, SlotReuseUnderTimeoutResponseRacesIsExactlyOnce) {
   EXPECT_GT(timeouts, 0);      // both orders actually exercised
   EXPECT_LT(timeouts, 200);
   EXPECT_EQ(proxy.live_calls(), 0u);
+}
+
+TEST(ProxyCallPool, TimeoutsAcrossBucketBoundariesFireOnTime) {
+  // The deadline store fills 256-entry buckets at the tail. 700 calls, one
+  // per millisecond, all slower than the timeout, keep more than two
+  // buckets' worth in flight at once: every call must time out exactly
+  // once, at exactly start + timeout, across each bucket rollover. The
+  // second wave reuses the buckets the first one drained.
+  constexpr int kCalls = 700;
+  static constexpr SimDuration kTimeout = 1.0;
+  sim::Simulator sim;
+  MeshConfig config;
+  config.local_delay = 0.0;
+  config.local_jitter_frac = 0.0;
+  config.health_probe_interval = 0.0;
+  config.request_timeout = kTimeout;
+  Mesh m(sim, SplitRng(5), config);
+  const auto a = m.add_cluster("a");
+  m.deploy("svc", a,
+           {.replicas = 1, .concurrency = 1024, .queue_capacity = 1024},
+           std::make_unique<FixedLatencyBehavior>(5.0, 5.5));
+  Proxy& proxy = m.proxy(a, "svc");
+  for (int wave = 0; wave < 2; ++wave) {
+    std::vector<int> fired(kCalls, 0);
+    const SimTime wave_start = sim.now();
+    for (int i = 0; i < kCalls; ++i) {
+      sim.run_until(wave_start + 0.001 * i);
+      const SimTime start = sim.now();
+      m.call(a, "svc", 0, [&fired, &sim, i, start](const Response& r) {
+        ++fired[i];
+        EXPECT_TRUE(r.timed_out) << "call " << i;
+        EXPECT_EQ(r.latency, kTimeout) << "call " << i;
+        EXPECT_EQ(sim.now(), start + kTimeout) << "call " << i;
+      });
+    }
+    EXPECT_GT(proxy.live_calls(), 600u);  // > 2 buckets in flight
+    sim.run_until(sim.now() + 10.0);  // every deadline and response passes
+    for (int i = 0; i < kCalls; ++i) {
+      EXPECT_EQ(fired[i], 1) << "wave " << wave << " call " << i;
+    }
+    EXPECT_EQ(proxy.live_calls(), 0u);
+  }
 }
 
 TEST_F(ProxyTest, DeterministicAcrossIdenticalRuns) {

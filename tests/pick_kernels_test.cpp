@@ -1,9 +1,8 @@
 // Tests for the specialized cumulative-weight search kernels: exact
 // agreement with std::upper_bound (the reference semantics the scalar
-// picker always had), batch/scalar equivalence, selector thresholds, and a
-// chi-square distribution check per kernel — both directly against the
-// kernels and end-to-end through a proxy with the test-only override
-// forcing each kernel in turn.
+// picker always had), the selector threshold, and a chi-square distribution
+// check per kernel — both directly against the kernels and end-to-end
+// through a proxy whose split size selects each kernel in turn.
 #include "l3/mesh/pick_kernels.h"
 
 #include "l3/common/rng.h"
@@ -15,19 +14,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace l3::mesh::pick {
 namespace {
-
-/// Restores production size-based selection no matter how a test exits —
-/// the override is a global and must never leak into other tests.
-struct KernelOverrideGuard {
-  explicit KernelOverrideGuard(WeightedKernel k) {
-    set_weighted_kernel_override(static_cast<int>(k));
-  }
-  ~KernelOverrideGuard() { set_weighted_kernel_override(-1); }
-};
 
 /// Reference implementation: first index whose cumulative weight exceeds r.
 std::size_t reference_search(const std::vector<std::uint64_t>& cum,
@@ -51,14 +42,13 @@ std::vector<std::uint64_t> make_table(std::size_t n, SplitRng& rng) {
   return cum;
 }
 
-constexpr WeightedKernel kAllKernels[] = {
-    WeightedKernel::kLinear, WeightedKernel::kMultiLane,
-    WeightedKernel::kBinary};
+constexpr WeightedKernel kAllKernels[] = {WeightedKernel::kLinear,
+                                         WeightedKernel::kMultiLane};
 
 TEST(PickKernels, AllKernelsAgreeWithUpperBound) {
   SplitRng rng(101);
   for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u, 32u, 33u,
-                        64u, 100u, 128u}) {
+                        63u, 64u}) {
     const auto cum = make_table(n, rng);
     const std::uint64_t total = cum.back();
     std::vector<std::uint64_t> draws;
@@ -83,44 +73,11 @@ TEST(PickKernels, AllKernelsAgreeWithUpperBound) {
   }
 }
 
-TEST(PickKernels, SearchBatchMatchesScalarCalls) {
-  SplitRng rng(202);
-  for (std::size_t n : {3u, 8u, 32u, 128u}) {
-    const auto cum = make_table(n, rng);
-    const std::uint64_t total = cum.back();
-    std::vector<std::uint64_t> draws(257);
-    for (auto& d : draws) {
-      d = static_cast<std::uint64_t>(rng.uniform() *
-                                     static_cast<double>(total));
-      if (d >= total) d = total - 1;
-    }
-    for (const auto k : kAllKernels) {
-      std::vector<std::uint32_t> out(draws.size());
-      search_batch(k, cum.data(), n, draws.data(), draws.size(), out.data());
-      for (std::size_t j = 0; j < draws.size(); ++j) {
-        EXPECT_EQ(out[j], search(k, cum.data(), n, draws[j]))
-            << kernel_name(k) << " n=" << n << " j=" << j;
-      }
-    }
-  }
-}
-
 TEST(PickKernels, SelectorPicksBySizeThresholds) {
   EXPECT_EQ(select_weighted_kernel(1), WeightedKernel::kLinear);
   EXPECT_EQ(select_weighted_kernel(kLinearMax), WeightedKernel::kLinear);
   EXPECT_EQ(select_weighted_kernel(kLinearMax + 1), WeightedKernel::kMultiLane);
-  EXPECT_EQ(select_weighted_kernel(kMultiLaneMax), WeightedKernel::kMultiLane);
-  EXPECT_EQ(select_weighted_kernel(kMultiLaneMax + 1), WeightedKernel::kBinary);
-  EXPECT_EQ(select_weighted_kernel(64), WeightedKernel::kBinary);
-}
-
-TEST(PickKernels, OverrideForcesKernelRegardlessOfSize) {
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    EXPECT_EQ(select_weighted_kernel(3), k);
-    EXPECT_EQ(select_weighted_kernel(200), k);
-  }
-  EXPECT_EQ(select_weighted_kernel(3), WeightedKernel::kLinear);
+  EXPECT_EQ(select_weighted_kernel(64), WeightedKernel::kMultiLane);
 }
 
 /// Chi-square statistic of observed counts against expected proportions.
@@ -174,68 +131,47 @@ TEST(PickKernels, ChiSquareDirectDrawsMatchWeightsPerKernel) {
   }
 }
 
-/// End-to-end: a proxy with a 6/3/1 weight split must reproduce those
-/// shares through every kernel, via both the scalar picker and the batch
-/// path. Exercises the fused linear loop and the staged search_batch path
-/// inside Proxy::pick_backend_batch.
-class ProxyKernelChiSquareTest : public ::testing::Test {
- protected:
-  ProxyKernelChiSquareTest() : rng(17), mesh(sim, rng, make_config()) {
-    c1 = mesh.add_cluster("c1");
-    c2 = mesh.add_cluster("c2");
-    c3 = mesh.add_cluster("c3");
-    for (ClusterId c : {c1, c2, c3}) {
-      mesh.deploy("svc", c, {},
-                  std::make_unique<FixedLatencyBehavior>(0.010, 0.030));
-    }
-    mesh.proxy(c1, "svc");
-    mesh.find_split(c1, "svc")->set_weights(
-        std::vector<std::uint64_t>{6000, 3000, 1000});
-  }
-
-  static MeshConfig make_config() {
-    MeshConfig config;
-    config.local_delay = 0.0;
-    config.local_jitter_frac = 0.0;
-    config.health_probe_interval = 0.0;
-    return config;
-  }
-
+/// Chi-square of `picks` picks through a proxy whose split carries
+/// `weights` (one backend cluster per entry), against the weight shares.
+double proxy_pick_chi_square(const std::vector<std::uint64_t>& weights,
+                             int picks) {
   sim::Simulator sim;
-  SplitRng rng;
-  Mesh mesh;
-  ClusterId c1 = 0, c2 = 0, c3 = 0;
-};
-
-TEST_F(ProxyKernelChiSquareTest, ScalarPickMatchesWeightsPerKernel) {
-  const std::vector<double> share{0.6, 0.3, 0.1};
-  constexpr int kPicks = 60000;
-  // df = 2; chi2(2) 99.9th percentile is 13.8 — use 20 for slack.
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    Proxy& proxy = mesh.proxy(c1, "svc");
-    std::vector<std::uint64_t> counts(3, 0);
-    for (int i = 0; i < kPicks; ++i) counts[proxy.pick_backend()]++;
-    EXPECT_LT(chi_square(counts, share, kPicks), 20.0) << kernel_name(k);
+  MeshConfig config;
+  config.local_delay = 0.0;
+  config.local_jitter_frac = 0.0;
+  config.health_probe_interval = 0.0;
+  Mesh mesh(sim, SplitRng(17), config);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    mesh.deploy("svc", mesh.add_cluster("c" + std::to_string(i)), {},
+                std::make_unique<FixedLatencyBehavior>(0.010, 0.030));
   }
+  Proxy& proxy = mesh.proxy(0, "svc");
+  mesh.find_split(0, "svc")->set_weights(weights);
+  std::uint64_t total = 0;
+  for (const std::uint64_t w : weights) total += w;
+  std::vector<double> share;
+  for (const std::uint64_t w : weights) {
+    share.push_back(static_cast<double>(w) / static_cast<double>(total));
+  }
+  std::vector<std::uint64_t> counts(weights.size(), 0);
+  for (int i = 0; i < picks; ++i) counts[proxy.pick_backend()]++;
+  return chi_square(counts, share, static_cast<std::uint64_t>(picks));
 }
 
-TEST_F(ProxyKernelChiSquareTest, BatchPickMatchesWeightsPerKernel) {
-  const std::vector<double> share{0.6, 0.3, 0.1};
-  constexpr std::size_t kBlock = 64;
-  constexpr std::size_t kBlocks = 1000;
-  for (const auto k : kAllKernels) {
-    KernelOverrideGuard guard(k);
-    Proxy& proxy = mesh.proxy(c1, "svc");
-    std::vector<std::uint64_t> counts(3, 0);
-    std::uint32_t out[kBlock];
-    for (std::size_t b = 0; b < kBlocks; ++b) {
-      proxy.pick_backend_batch(out, kBlock);
-      for (std::size_t j = 0; j < kBlock; ++j) counts[out[j]]++;
-    }
-    EXPECT_LT(chi_square(counts, share, kBlock * kBlocks), 20.0)
-        << kernel_name(k);
-  }
+/// End-to-end: a proxy's picks must reproduce its split's weight shares
+/// through both kernels. The split size selects the kernel, so a 3-backend
+/// split runs `linear` and a 12-backend split runs `multilane`.
+TEST(ProxyKernelChiSquareTest, ScalarPickMatchesWeightsPerKernel) {
+  ASSERT_EQ(select_weighted_kernel(3), WeightedKernel::kLinear);
+  // df = 2; chi2(2) 99.9th percentile is 13.8 — use 20 for slack.
+  EXPECT_LT(proxy_pick_chi_square({6000, 3000, 1000}, 60000), 20.0);
+  ASSERT_EQ(select_weighted_kernel(12), WeightedKernel::kMultiLane);
+  // One weightless backend: df = 10; chi2(10) 99.9th percentile is 29.6 —
+  // use 35 for slack.
+  EXPECT_LT(proxy_pick_chi_square(
+                {900, 50, 400, 0, 1200, 300, 700, 100, 600, 250, 800, 150},
+                120000),
+            35.0);
 }
 
 }  // namespace

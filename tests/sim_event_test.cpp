@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
@@ -110,35 +111,61 @@ TEST(EventFn, DestructorReleasesCapture) {
   EXPECT_TRUE(alive.expired());
 }
 
+constexpr SimTime kNoEnd = std::numeric_limits<SimTime>::infinity();
+
+/// Pops the earliest event (a dispatch batch of one), runs it and returns
+/// its timestamp.
+SimTime pop_and_run(EventQueue& q) {
+  SimTime popped = -1.0;
+  EXPECT_EQ(q.dispatch_batch(kNoEnd, 1,
+                             [&popped](SimTime t, EventFn& fn) {
+                               popped = t;
+                               fn();
+                               return true;
+                             }),
+            1u);
+  return popped;
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   q.push(3.0, 0, [] {});
   q.push(1.0, 1, [] {});
   q.push(2.0, 2, [] {});
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop_min().time, 1.0);
-  EXPECT_EQ(q.pop_min().time, 2.0);
-  EXPECT_EQ(q.pop_min().time, 3.0);
+  EXPECT_EQ(pop_and_run(q), 1.0);
+  EXPECT_EQ(pop_and_run(q), 2.0);
+  EXPECT_EQ(pop_and_run(q), 3.0);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EqualTimesPopFifoBySeq) {
   EventQueue q;
-  for (std::uint64_t s = 0; s < 64; ++s) q.push(1.0, s, [] {});
+  std::uint64_t ran = 0;
   for (std::uint64_t s = 0; s < 64; ++s) {
-    const Event ev = q.pop_min();
-    EXPECT_EQ(ev.time, 1.0);
-    EXPECT_EQ(ev.seq, s);
+    q.push(1.0, s, [&ran, s] { ran = s; });
+  }
+  for (std::uint64_t s = 0; s < 64; ++s) {
+    EXPECT_EQ(pop_and_run(q), 1.0);
+    EXPECT_EQ(ran, s);
   }
 }
 
 TEST(EventQueue, PopMovesCallableOut) {
+  // The sink may take the callable out of its pool slot; the moved-out
+  // callable stays valid after the slot is reclaimed and reused.
   EventQueue q;
   int fired = 0;
   q.push(1.0, 0, SmallCapture{&fired, 0, 0});
-  Event ev = q.pop_min();
+  EventFn taken;
+  q.dispatch_batch(kNoEnd, 1, [&taken](SimTime, EventFn& fn) {
+    taken = std::move(fn);
+    return true;
+  });
   EXPECT_TRUE(q.empty());
-  ev.fn();
+  EXPECT_EQ(fired, 0);
+  q.push(2.0, 1, [] {});  // reuses the reclaimed slot
+  taken();
   EXPECT_EQ(fired, 1);
 }
 
@@ -166,12 +193,9 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
     const auto expected = *reference.begin();
     reference.erase(reference.begin());
     ASSERT_EQ(q.min_time(), expected.first);
-    Event ev = q.pop_min();
-    EXPECT_EQ(ev.time, expected.first);
-    EXPECT_EQ(ev.seq, expected.second);
-    ev.fn();
+    EXPECT_EQ(pop_and_run(q), expected.first);
     EXPECT_EQ(invoked_seq, expected.second);
-    cursor = ev.time;
+    cursor = expected.first;
   };
 
   for (int phase = 0; phase < 4; ++phase) {

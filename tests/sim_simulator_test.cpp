@@ -158,6 +158,59 @@ TEST(Simulator, StepProcessesOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
+TEST(Simulator, StepDrainMatchesRunUntil) {
+  // step() and run_until() pop through the same EventQueue::dispatch_batch,
+  // so one schedule — tied timestamps, a re-entrant push at the current
+  // time and a periodic task — must fire in the same order, at the same
+  // clock readings, either way.
+  struct Fired {
+    int id;
+    SimTime at;
+    bool operator==(const Fired&) const = default;
+  };
+  const auto build = [](Simulator& sim, std::vector<Fired>& log) {
+    const auto note = [&sim, &log](int id) {
+      log.push_back({id, sim.now()});
+    };
+    for (int i = 0; i < 3; ++i) sim.schedule_at(1.0, [note, i] { note(i); });
+    sim.schedule_at(2.0, [&sim, note] {
+      note(10);
+      sim.schedule_at(sim.now(), [note] { note(11); });
+    });
+    sim.schedule_at(2.0, [note] { note(12); });
+    PeriodicHandle tick = sim.schedule_every(0.5, [note] { note(20); });
+    // Cancelled before its t=5 firing, which still pops as a no-op.
+    sim.schedule_at(4.9, [tick]() mutable { tick.cancel(); });
+    sim.schedule_at(5.0, [note] { note(30); });
+  };
+
+  Simulator stepped;
+  std::vector<Fired> stepped_log;
+  build(stepped, stepped_log);
+  while (stepped.step()) {
+  }
+
+  Simulator ran;
+  std::vector<Fired> ran_log;
+  build(ran, ran_log);
+  ran.run_until(5.0);
+
+  // Ties run in scheduling order: a tick scheduled by the previous tick
+  // runs after same-time events scheduled up front, and the re-entrant
+  // push runs last at its timestamp.
+  const std::vector<Fired> expected = {
+      {20, 0.0}, {20, 0.5}, {0, 1.0},  {1, 1.0},  {2, 1.0},  {20, 1.0},
+      {20, 1.5}, {10, 2.0}, {12, 2.0}, {20, 2.0}, {11, 2.0}, {20, 2.5},
+      {20, 3.0}, {20, 3.5}, {20, 4.0}, {20, 4.5}, {30, 5.0}};
+  EXPECT_EQ(stepped_log, expected);
+  EXPECT_EQ(ran_log, expected);
+  EXPECT_EQ(stepped.now(), 5.0);
+  EXPECT_EQ(ran.now(), stepped.now());
+  EXPECT_EQ(ran.executed(), stepped.executed());
+  EXPECT_EQ(ran.pending(), 0u);
+  EXPECT_EQ(stepped.pending(), 0u);
+}
+
 TEST(Simulator, PeriodicFiringsAreDriftFree) {
   // 0.1 is not exactly representable in binary; an accumulating
   // `t += interval` drifts off the n*interval grid after enough firings.
