@@ -9,19 +9,17 @@
 //   --jobs N     parallel simulation cells (default: hardware concurrency);
 //                stdout and the JSON report are byte-identical for every N
 //   --json PATH  write the unified machine-readable report
-//   --profile    self-profile every cell: the JSON gains a deterministic
-//                `profile` block (counts only — still jobs-invariant) and a
-//                wall-time table is printed on STDERR (wall-clock data never
-//                enters stdout or the JSON)
+//   --profile    bind a flight recorder to every cell: the JSON gains a
+//                deterministic `profile` block (counts only — still
+//                jobs-invariant); per-layer wall time is perfbench's traced
+//                ledger (perfbench/README.md)
 #pragma once
 
 #include "l3/common/table.h"
 #include "l3/common/time.h"
 #include "l3/exp/args.h"
 #include "l3/exp/report.h"
-#include "l3/obs/recorder.h"
 
-#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -55,40 +53,9 @@ inline double percent_decrease(double baseline, double value) {
   return (baseline - value) / baseline * 100.0;
 }
 
-/// Prints the merged self-profile as a wall-time table. Goes to stderr only:
-/// wall-clock values differ between machines and runs, so they must never
-/// reach the jobs-invariance-diffed surfaces (stdout, the JSON report).
-inline void print_profile(std::ostream& os, const obs::ProfileBlock& profile) {
-  if (profile.empty()) return;
-  os << "-- self-profile (" << profile.cells << " cells, wall-clock; "
-     << "deterministic counts are in the JSON `profile` block) --\n";
-  char line[160];
-  std::snprintf(line, sizeof(line), "%-22s %14s %12s %14s %12s\n",
-                "subsystem", "count", "timed", "total ms", "mean us");
-  os << line;
-  for (std::size_t i = 0; i < obs::kScopeCount; ++i) {
-    if (profile.scope_count[i] == 0) continue;
-    const double total_ms = profile.scope_wall_ns[i] * 1e-6;
-    const double mean_us =
-        profile.scope_timed[i] > 0
-            ? profile.scope_wall_ns[i] * 1e-3 /
-                  static_cast<double>(profile.scope_timed[i])
-            : 0.0;
-    std::snprintf(line, sizeof(line), "%-22s %14llu %12llu %14.3f %12.3f\n",
-                  std::string(obs::scope_name(static_cast<obs::ScopeId>(i)))
-                      .c_str(),
-                  static_cast<unsigned long long>(profile.scope_count[i]),
-                  static_cast<unsigned long long>(profile.scope_timed[i]),
-                  total_ms, mean_us);
-    os << line;
-  }
-}
-
 /// Writes the unified JSON report if --json was given; complains on I/O
-/// failure but doesn't fail the bench (the tables already printed). With
-/// --profile, also prints the merged wall-time table to stderr.
+/// failure but doesn't fail the bench (the tables already printed).
 inline void finish_report(const BenchArgs& args, const exp::Report& report) {
-  if (args.profile) print_profile(std::cerr, report.merged_profile());
   if (args.json.empty()) return;
   if (!report.write_file(args.json)) {
     std::cerr << "warning: could not write " << args.json << "\n";

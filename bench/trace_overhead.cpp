@@ -2,20 +2,21 @@
 // mesh through full request lifecycles under three tracer configurations —
 //
 //   no_tracer   no tracer attached (the seed behaviour);
-//   off         a tracer attached with SamplingMode::kOff — the ISSUE's
-//               requirement: the hot path must pay only a single branch,
-//               no allocations, no virtual dispatch;
+//   off         a tracer attached with SamplingMode::kOff — the hot path
+//               must pay only a single branch, no allocations, no virtual
+//               dispatch;
 //   sampled     ratio 1.0 — every request fully traced (the upper bound).
 //
 // no_tracer and off must be indistinguishable; sampled shows the cost of
 // the spans themselves.
 //
-// The same split exists for the l3::obs flight recorder: no_recorder vs
-// recorder-bound request benchmarks, plus `--obs-gate` — a
+// The same split exists for the l3::obs flight recorder: BM_RequestNoTracer
+// (no recorder bound) vs BM_RequestRecorder, plus `--obs-gate` — a
 // non-google-benchmark mode used by scripts/check.sh that runs a full
 // scenario with and without the recorder, asserts the median recorded run
-// stays within 5% of the median plain one, and asserts both runs produce
-// identical simulation results (profiling must not perturb the DES).
+// stays within 5% of the median plain one, asserts both runs produce
+// identical simulation results (profiling must not perturb the DES), and
+// asserts every layer left its named counters and ring events.
 #include "l3/common/stats.h"
 #include "l3/mesh/mesh.h"
 #include "l3/obs/recorder.h"
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace {
@@ -112,15 +114,9 @@ void BM_StartTraceOff(benchmark::State& state) {
 }
 BENCHMARK(BM_StartTraceOff);
 
-/// Request path with no recorder bound: every L3_OBS_* macro pays one
-/// thread-local read + null check and nothing else.
-void BM_RequestNoRecorder(benchmark::State& state) {
-  run_requests(state, TracerSetup::kNone);
-}
-BENCHMARK(BM_RequestNoRecorder);
-
-/// Request path with the flight recorder bound: counters, rings and sampled
-/// scope timers all live. The ratio to BM_RequestNoRecorder is the recorder
+/// Request path with the flight recorder bound: counters, gauges and rings
+/// all live. The ratio to BM_RequestNoTracer (no recorder bound: every
+/// L3_OBS_* macro pays one thread-local read + null check) is the recorder
 /// overhead the --obs-gate mode asserts on at scenario scale.
 void BM_RequestRecorder(benchmark::State& state) {
   obs::Recorder recorder;
@@ -155,18 +151,48 @@ BENCHMARK(BM_ObsCountUnbound);
 // Xeon. The two sides alternate run by run, and the side that goes first
 // swaps each time, so a drift in machine speed hits both alike. Fails if
 // the median recorded sample is more than kObsGateMaxPct slower than the
-// median plain one, if profiling changed the simulation results, or if too
-// few subsystems were profiled.
+// median plain one, if profiling changed the simulation results, or if a
+// layer left a required counter at zero or a required ring empty.
 
 constexpr double kObsGateMaxPct = 5.0;
 constexpr int kObsGateReps = 5;
 constexpr int kRunsPerSample = 4;
 
+/// Counters every layer of the full scenario path must move.
+constexpr obs::CounterId kRequiredCounters[] = {
+    obs::CounterId::kSimEvents,        obs::CounterId::kSimBatches,
+    obs::CounterId::kMeshRequests,     obs::CounterId::kPickKernelLinear,
+    obs::CounterId::kTsdbSamples,      obs::CounterId::kScraperSeries,
+    obs::CounterId::kControllerTicks,  obs::CounterId::kWeightUpdates,
+};
+/// Rings that must record at least one event.
+constexpr obs::Domain kRequiredRings[] = {obs::Domain::kMesh,
+                                          obs::Domain::kMetrics};
+
 struct GateRun {
   std::uint64_t requests = 0;
   double p99 = 0.0;
-  std::size_t subsystems = 0;
+  obs::ProfileBlock profile;
 };
+
+/// Names every required counter left at zero and every required ring left
+/// empty in `profile`; empty when all layers reported.
+std::string silent_signals(const obs::ProfileBlock& profile) {
+  std::string silent;
+  for (const obs::CounterId id : kRequiredCounters) {
+    if (profile.counters[static_cast<std::size_t>(id)] == 0) {
+      silent += ' ';
+      silent += obs::counter_name(id);
+    }
+  }
+  for (const obs::Domain d : kRequiredRings) {
+    if (profile.ring_recorded[static_cast<std::size_t>(d)] == 0) {
+      silent += " ring:";
+      silent += obs::domain_name(d);
+    }
+  }
+  return silent;
+}
 
 /// Runs `config` once and returns its wall seconds; the (deterministic)
 /// results land in `out`.
@@ -178,8 +204,7 @@ double timed_run(const workload::ScenarioTrace& trace,
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  out = {result.requests, result.summary.latency.p99,
-         result.profile.active_subsystems()};
+  out = {result.requests, result.summary.latency.p99, result.profile};
   return wall;
 }
 
@@ -213,9 +238,9 @@ int run_obs_gate() {
   const double overhead_pct =
       (recorded_median - plain_median) / plain_median * 100.0;
   std::printf("obs-gate: median of %d, plain %.3f s, recorder %.3f s, "
-              "overhead %+.2f%% (limit %.1f%%), %zu subsystems profiled\n",
+              "overhead %+.2f%% (limit %.1f%%)\n",
               kObsGateReps, plain_median, recorded_median, overhead_pct,
-              kObsGateMaxPct, recorded.subsystems);
+              kObsGateMaxPct);
 
   if (plain.requests != recorded.requests || plain.p99 != recorded.p99) {
     std::printf("obs-gate FAIL: profiling perturbed the simulation "
@@ -225,10 +250,10 @@ int run_obs_gate() {
                 recorded.p99);
     return 1;
   }
-  if (recorded.subsystems < 6) {
-    std::printf("obs-gate FAIL: only %zu subsystems profiled (expected >= 6 "
-                "on the full scenario path)\n",
-                recorded.subsystems);
+  if (const std::string silent = silent_signals(recorded.profile);
+      !silent.empty()) {
+    std::printf("obs-gate FAIL: no activity recorded for:%s\n",
+                silent.c_str());
     return 1;
   }
   if (overhead_pct > kObsGateMaxPct) {

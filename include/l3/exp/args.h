@@ -20,9 +20,9 @@ struct BenchArgs {
   bool fast = false; ///< shrink durations/repetitions for smoke runs
   int jobs = 0;      ///< parallel cells; 0 = hardware concurrency
   std::string json;  ///< write the unified JSON report here; empty = off
-  /// Bind a flight recorder / self-profiler to every cell: the Report JSON
-  /// gains a deterministic `profile` block and a wall-time table goes to
-  /// stderr. Simulation results are unchanged.
+  /// Bind a flight recorder to every cell: the Report JSON gains a
+  /// deterministic `profile` block of counters. Simulation results are
+  /// unchanged.
   bool profile = false;
   /// Per-request sidecar CPU cost in microseconds for the data-plane cost
   /// model (RunnerConfig::proxy_cost.cpu_per_request; DESIGN.md §16). 0

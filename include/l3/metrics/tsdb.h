@@ -10,8 +10,8 @@
 // queries do zero string hashing or comparison. Samples live in
 // power-of-two ring buffers (SampleRing); histogram bucket rows live in a
 // contiguous columnar slab (RowRing) so an append is a row memcpy, not a
-// per-sample vector allocation. The string-keyed API is kept as a thin
-// compatibility layer over the interned one.
+// per-sample vector allocation. Appends and queries take only interned
+// ids; a caller resolves a name once through series() / histogram_series().
 //
 // Window folds are incremental: each series carries a WindowCursor caching
 // the [first, end) sample span of the last query as ABSOLUTE sequence
@@ -89,19 +89,10 @@ class TimeSeriesDb {
   /// Interns `name` as a histogram series.
   HistogramId histogram_series(std::string_view name);
 
-  /// Looks up a scalar series without creating it.
-  SeriesId find_series(std::string_view name) const;
-
-  /// Looks up a histogram series without creating it.
-  HistogramId find_histogram_series(std::string_view name) const;
-
   // ---- Appends ----------------------------------------------------------
 
   /// Appends a scalar (counter or gauge) sample.
   void append(SeriesId id, SimTime t, double value);
-  void append(const std::string& key, SimTime t, double value) {
-    append(series(key), t, value);
-  }
 
   /// Declares the bucket bounds of a histogram series: stored on first
   /// call, verified to match on every later one. Idempotent; the scraper
@@ -118,20 +109,6 @@ class TimeSeriesDb {
   void append_histogram(HistogramId id, SimTime t,
                         std::span<const double> cumulative_counts);
 
-  /// Compatibility form carrying bounds on every call (verified against the
-  /// stored ones, declaring them on first use).
-  void append_histogram(HistogramId id, SimTime t,
-                        const std::vector<double>& bounds,
-                        const std::vector<double>& cumulative_counts) {
-    set_histogram_bounds(id, bounds);
-    append_histogram(id, t, std::span<const double>(cumulative_counts));
-  }
-  void append_histogram(const std::string& key, SimTime t,
-                        const std::vector<double>& bounds,
-                        const std::vector<double>& cumulative_counts) {
-    append_histogram(histogram_series(key), t, bounds, cumulative_counts);
-  }
-
   // ---- Queries ----------------------------------------------------------
 
   /// Per-second rate of increase of a counter over [now − window, now].
@@ -139,44 +116,24 @@ class TimeSeriesDb {
   /// 10 s window at a 5 s scrape interval); std::nullopt otherwise.
   std::optional<double> rate(SeriesId id, SimDuration window,
                              SimTime now) const;
-  std::optional<double> rate(const std::string& key, SimDuration window,
-                             SimTime now) const {
-    return rate(find_series(key), window, now);
-  }
 
   /// Absolute increase of a counter over the window (rate × elapsed).
   std::optional<double> increase(SeriesId id, SimDuration window,
                                  SimTime now) const;
-  std::optional<double> increase(const std::string& key, SimDuration window,
-                                 SimTime now) const {
-    return increase(find_series(key), window, now);
-  }
 
   /// Mean of gauge samples in the window; std::nullopt if none.
   std::optional<double> avg(SeriesId id, SimDuration window,
                             SimTime now) const;
-  std::optional<double> avg(const std::string& key, SimDuration window,
-                            SimTime now) const {
-    return avg(find_series(key), window, now);
-  }
 
   /// Most recent sample value within the window; std::nullopt if none.
   std::optional<double> last(SeriesId id, SimDuration window,
                              SimTime now) const;
-  std::optional<double> last(const std::string& key, SimDuration window,
-                             SimTime now) const {
-    return last(find_series(key), window, now);
-  }
 
   /// Prometheus-style `histogram_quantile(q, rate(buckets[window]))`.
   /// std::nullopt when fewer than two samples exist or no requests were
   /// observed in the window.
   std::optional<double> quantile(HistogramId id, double q, SimDuration window,
                                  SimTime now) const;
-  std::optional<double> quantile(const std::string& key, double q,
-                                 SimDuration window, SimTime now) const {
-    return quantile(find_histogram_series(key), q, window, now);
-  }
 
   // ---- Maintenance / introspection --------------------------------------
 
@@ -198,17 +155,11 @@ class TimeSeriesDb {
   /// Number of histogram series holding at least one sample.
   std::size_t histogram_series_count() const { return nonempty_histograms_; }
 
-  /// Stored sample count of one scalar series (0 when absent).
+  /// Stored sample count of one scalar series (0 for an invalid id).
   std::size_t sample_count(SeriesId id) const;
-  std::size_t sample_count(const std::string& key) const {
-    return sample_count(find_series(key));
-  }
 
-  /// Stored sample count of one histogram series (0 when absent).
+  /// Stored sample count of one histogram series (0 for an invalid id).
   std::size_t histogram_sample_count(HistogramId id) const;
-  std::size_t histogram_sample_count(const std::string& key) const {
-    return histogram_sample_count(find_histogram_series(key));
-  }
 
   SimDuration retention() const { return retention_; }
 

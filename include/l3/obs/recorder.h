@@ -1,16 +1,11 @@
-// l3::obs — the system watching itself. Two tiers, following the RT-vs-audit
-// metrics discipline (SNIPPETS.md, Continuity catalog):
-//
-//   * RT flight recorder — bounded per-domain ring buffers of structured
-//     events (`rt.event.*`) plus counters (`rt.counter.*`) and gauges
-//     (`rt.gauge.*`) held in cache-line-padded thread-local shards. RT
-//     signals are allowed detail but must stay bounded: fixed ring capacity,
-//     fixed id spaces (enums, never strings), no per-request series.
-//   * Self-profiler — scoped wall-clock timers over the simulator's own hot
-//     paths (event dispatch, picker rebuilds, picks, TSDB writes/compacts,
-//     scraper snapshots, controller manage, chaos transitions, timeout-ring
-//     sweeps) aggregating into per-subsystem summaries via the radix-sort
-//     percentile machinery (common/stats.h).
+// l3::obs — the system watching itself: an RT flight recorder following the
+// RT-vs-audit metrics discipline (SNIPPETS.md, Continuity catalog). Bounded
+// per-domain ring buffers of structured events (`rt.event.*`) plus counters
+// (`rt.counter.*`) and gauges (`rt.gauge.*`) held in cache-line-padded
+// thread-local shards. RT signals are allowed detail but must stay bounded:
+// fixed ring capacity, fixed id spaces (enums, never strings), no per-request
+// series. The recorder counts; it never reads a clock. Per-layer wall time
+// is measured from outside the simulation by perfbench's traced ledger.
 //
 // Threading/determinism contract: a Recorder is written through thread-local
 // shards (one per ScopedRecorderBind), so recording is lock- and atomic-free
@@ -20,9 +15,8 @@
 // quiescent (after the simulation barrier), like the experiment runner's
 // result collection. Everything exported into the deterministic bench
 // surfaces (the Report JSON `profile` block) is a pure function of the
-// simulation: counts, ring totals, sim-time-stamped events — never wall
-// time. Wall-clock timings are audit-only (stderr tables, Prometheus audit
-// families, Chrome counter tracks live in sim time).
+// simulation: counts, ring totals, sim-time-stamped events. Chrome counter
+// tracks live in sim time too.
 //
 // Compile-time gate: configuring with -DL3_OBS=OFF defines L3_OBS_ENABLED=0
 // and every L3_OBS_* macro below expands to nothing — the instrumented
@@ -31,7 +25,6 @@
 // so tests and tools work in both configurations.
 #pragma once
 
-#include "l3/common/stats.h"
 #include "l3/common/time.h"
 
 #include <array>
@@ -51,27 +44,6 @@ namespace l3::obs {
 // ---------------------------------------------------------------------------
 // Fixed id spaces. RT signals are enums, never strings: the cardinality is
 // bounded at compile time and a hot-path record is an array index.
-
-/// Profiled subsystems (one scoped timer each). Order is the export order.
-enum class ScopeId : std::uint8_t {
-  kSimDispatch = 0,   ///< EventQueue::dispatch_batch via the Simulator
-  kPickerRebuild,     ///< Proxy cumulative-weight table rebuild
-  kWeightedPick,      ///< Proxy::pick_weighted
-  kP2cPick,           ///< Proxy::pick_p2c
-  kTimeoutSweep,      ///< Proxy timeout-ring timer sweep
-  kProxyCost,         ///< Proxy cost-model admission (pool + CPU stage)
-  kTsdbAppend,        ///< TimeSeriesDb::append / append_histogram
-  kTsdbCompact,       ///< TimeSeriesDb::compact (slow path only)
-  kScraperScrape,     ///< Scraper::scrape_once
-  kScraperPlan,       ///< Scraper::build_plan (registry-version rebuilds)
-  kControllerManage,  ///< L3Controller per-split control tick
-  kControllerGather,  ///< fused per-split TSDB signal gather
-  kChaosTransition,   ///< FaultInjector begin/end_fault
-  kCount
-};
-inline constexpr std::size_t kScopeCount =
-    static_cast<std::size_t>(ScopeId::kCount);
-std::string_view scope_name(ScopeId id);  ///< e.g. "sim.dispatch"
 
 /// RT counters (`rt.counter.*`), monotone within a run.
 enum class CounterId : std::uint8_t {
@@ -151,14 +123,8 @@ static_assert(sizeof(RtEvent) <= 24, "RtEvent must stay small and POD");
 struct RecorderConfig {
   /// Ring capacity per domain (events kept; older entries overwritten).
   std::size_t ring_capacity = 1024;
-  /// Bounded per-scope wall-sample buffer feeding the radix summaries; when
-  /// full the buffer decimates (keeps every other sample, doubles the
-  /// stride) so memory stays fixed while coverage stays uniform.
-  std::size_t max_wall_samples = 2048;
   /// Counter-track buffer bound (samples across all series).
   std::size_t max_track_samples = 65536;
-  /// Time every 2^shift-th entry of SAMPLED scopes (counts stay exact).
-  unsigned timer_sample_shift = 6;
 };
 
 /// One Chrome counter-track sample (recorded by Recorder::sample_tracks).
@@ -171,14 +137,6 @@ struct TrackSample {
 
 /// Merged, read-only view of a Recorder (writers must be quiescent).
 struct Snapshot {
-  struct Scope {
-    std::string_view name;
-    std::uint64_t count = 0;        ///< entries (deterministic)
-    std::uint64_t timed = 0;        ///< entries that took a wall timestamp
-    double wall_ns_total = 0.0;     ///< audit-only
-    double wall_ns_max = 0.0;       ///< audit-only
-    LatencySummary wall_ns;         ///< radix-summarized timed samples
-  };
   struct Counter {
     std::string_view name;
     std::uint64_t value = 0;
@@ -193,7 +151,6 @@ struct Snapshot {
     std::uint64_t dropped = 0;   ///< overwritten by wraparound
     std::vector<RtEvent> events; ///< oldest-to-newest surviving entries
   };
-  std::array<Scope, kScopeCount> scopes{};
   std::array<Counter, kCounterCount> counters{};
   std::array<Gauge, kGaugeCount> gauges{};
   std::array<Ring, kDomainCount> rings{};
@@ -208,27 +165,16 @@ inline constexpr std::size_t kBatchBucketCount = 8;
 std::string_view batch_bucket_label(std::size_t bucket);  ///< e.g. "4-7"
 
 /// The deterministic per-run digest that rides in workload::RunResult and is
-/// merged (in grid order) into the Report JSON `profile` block. Only the
-/// count fields are serialized; the wall totals feed audit output (stderr
-/// tables) and are never written into jobs-invariance-diffed surfaces.
+/// merged (in grid order) into the Report JSON `profile` block. Every field
+/// is a count, so the block is identical for every `--jobs` value.
 struct ProfileBlock {
   std::uint64_t cells = 0;  ///< runs merged into this block
-  std::array<std::uint64_t, kScopeCount> scope_count{};
-  std::array<std::uint64_t, kScopeCount> scope_timed{};
-  std::array<double, kScopeCount> scope_wall_ns{};
   std::array<std::uint64_t, kCounterCount> counters{};
   std::array<std::uint64_t, kDomainCount> ring_recorded{};
   std::array<std::uint64_t, kDomainCount> ring_dropped{};
   std::array<std::uint64_t, kBatchBucketCount> batch_hist{};
 
-  /// The weighted-pick kernel that actually ran, by pick count: the name of
-  /// the dominant kPickKernel* counter, or "none" when no weighted pick
-  /// happened. Deterministic (pure function of the counts).
-  std::string_view weighted_kernel_name() const;
-
   bool empty() const { return cells == 0; }
-  /// Number of subsystems with at least one recorded entry.
-  std::size_t active_subsystems() const;
   /// Element-wise accumulate (callers merge in grid order).
   void merge(const ProfileBlock& other);
 };
@@ -267,24 +213,6 @@ class alignas(64) Shard {
     ++ring.total;
   }
 
-  // Profiler entry points (used by ScopedTimer).
-  struct ScopeStats {
-    std::uint64_t count = 0;
-    std::uint64_t timed = 0;
-    double total_ns = 0.0;
-    double max_ns = 0.0;
-    std::vector<double> samples;     ///< bounded, stride-decimated
-    std::size_t stride = 1;          ///< current decimation stride
-    std::size_t stride_phase = 0;    ///< samples seen since last kept
-  };
-  /// Returns whether this entry should take wall timestamps.
-  bool enter_scope(ScopeId id, unsigned sample_shift) {
-    ScopeStats& s = scopes_[static_cast<std::size_t>(id)];
-    const std::uint64_t n = s.count++;
-    return (n & ((1ull << sample_shift) - 1)) == 0;
-  }
-  void record_scope_ns(ScopeId id, double ns);
-
  private:
   friend class Recorder;
   explicit Shard(const RecorderConfig& config, Recorder* owner);
@@ -295,7 +223,6 @@ class alignas(64) Shard {
   };
 
   Recorder* owner_;
-  std::size_t max_wall_samples_;
   std::array<std::uint64_t, kCounterCount> counters_{};
   struct GaugeCell {
     double value = 0.0;
@@ -303,7 +230,6 @@ class alignas(64) Shard {
   };
   std::array<GaugeCell, kGaugeCount> gauges_{};
   std::array<std::uint64_t, kBatchBucketCount> batch_hist_{};
-  std::array<ScopeStats, kScopeCount> scopes_{};
   std::array<EventRing, kDomainCount> rings_{};
 };
 
@@ -373,32 +299,6 @@ class ScopedRecorderBind {
   Shard* prev_;
 };
 
-/// Scoped wall timer: counts every entry, timestamps every 2^shift-th (the
-/// count stays exact and deterministic; the timing cost amortizes away on
-/// hot scopes). shift 0 = time every entry (cheap, low-rate scopes).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(ScopeId id, unsigned sample_shift = 0) : id_(id) {
-    shard_ = local_shard();
-    if (shard_ == nullptr) return;
-    if (shard_->enter_scope(id, sample_shift)) start_ns_ = now_ns();
-  }
-  ~ScopedTimer() {
-    if (shard_ != nullptr && start_ns_ >= 0.0) {
-      shard_->record_scope_ns(id_, now_ns() - start_ns_);
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  static double now_ns() noexcept;
-
-  Shard* shard_;
-  ScopeId id_;
-  double start_ns_ = -1.0;
-};
-
 }  // namespace l3::obs
 
 // ---------------------------------------------------------------------------
@@ -441,14 +341,6 @@ class ScopedTimer {
                           static_cast<std::uint32_t>(arg), (value)); \
   } while (0)
 
-/// Timed scope, every entry timestamped (rare, coarse subsystems).
-#define L3_OBS_SCOPE(var, scope) \
-  ::l3::obs::ScopedTimer var(::l3::obs::ScopeId::scope)
-
-/// Timed scope, every 64th entry timestamped (hot subsystems).
-#define L3_OBS_SCOPE_SAMPLED(var, scope) \
-  ::l3::obs::ScopedTimer var(::l3::obs::ScopeId::scope, 6)
-
 #else  // !L3_OBS_ENABLED
 
 #define L3_OBS_COUNT(id, n) ((void)0)
@@ -456,7 +348,5 @@ class ScopedTimer {
 #define L3_OBS_BATCH(events) ((void)0)
 #define L3_OBS_GAUGE(id, value) ((void)0)
 #define L3_OBS_EVENT(domain, code, time, arg, value) ((void)0)
-#define L3_OBS_SCOPE(var, scope) ((void)0)
-#define L3_OBS_SCOPE_SAMPLED(var, scope) ((void)0)
 
 #endif  // L3_OBS_ENABLED

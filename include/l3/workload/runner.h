@@ -80,11 +80,11 @@ struct RunnerConfig {
   /// measurement start (the warm-up is applied as the arm offset). Empty =
   /// no faults, reproducing the fault-free runner exactly.
   chaos::FaultPlan faults;
-  /// Bind an obs::Recorder for the run: the flight recorder and self-
-  /// profiler capture the run and RunResult::profile carries the
-  /// deterministic digest. Instrumentation reads thread-local state only —
-  /// simulation results are identical with this on or off (and the macros
-  /// compile out entirely with L3_OBS=OFF).
+  /// Bind an obs::Recorder for the run: the flight recorder captures the
+  /// run and RunResult::profile carries the deterministic digest.
+  /// Instrumentation reads thread-local state only — simulation results are
+  /// identical with this on or off (and the macros compile out entirely with
+  /// L3_OBS=OFF).
   bool profile = false;
   /// Hot-path batching knob: events drained per EventQueue batch and
   /// arrival times pre-generated per client block. 1 = fully unbatched

@@ -4,9 +4,11 @@
 # runner, simulator, logging, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
 # jobs-invariance smoke diffs on figure benches (plain, chaos and
-# --profile), a --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF
-# byte-identical golden, then the Release-mode gates: the flight-recorder
-# overhead gate (median of interleaved runs, in-process), the sharded-mega
+# --profile, which must carry the scraper and controller counters), a
+# --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF byte-identical
+# golden, then the Release-mode gates: the flight-recorder overhead gate
+# (median of interleaved runs, in-process; every layer's named counters
+# nonzero), the sharded-mega
 # gate (shards=4 req/s >= a fixed fraction of shards=1 req/s, in-process),
 # and a per-kernel micro-bench smoke. Dispatch-batch invariance is gated in
 # ctest (BatchedTraceIdentity.*). Every ctest run includes the
@@ -93,7 +95,7 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
 
   # --profile jobs-invariance: the JSON `profile` block is merged in grid
   # order from deterministic counts, so a profiled run must stay
-  # byte-identical across --jobs too (wall-clock goes to stderr only).
+  # byte-identical across --jobs too.
   echo "==> [default] --profile jobs-invariance smoke (fig10_scenarios)"
   ./build/bench/fig10_scenarios --fast --reps 1 --jobs 1 --profile \
       --json "$smoke_dir/p1.json" > "$smoke_dir/p1.out" 2>/dev/null
@@ -103,12 +105,13 @@ if [[ " ${presets[*]} " == *" default "* ]]; then
   diff "$smoke_dir/p1.json" "$smoke_dir/p2.json"
   grep -q '"profile"' "$smoke_dir/p1.json" \
     || { echo "FAIL: --profile produced no profile block"; exit 1; }
-  # The control-plane scopes (columnar scrape plan, fused controller
-  # gather) must appear in the profile block — and, being inside the
-  # byte-identical p1/p2 diff above, be jobs-invariant themselves.
-  for scope in 'scraper.plan' 'controller.gather'; do
-    grep -q "\"$scope\"" "$smoke_dir/p1.json" \
-      || { echo "FAIL: profile block lacks control-plane scope $scope"; exit 1; }
+  # The control-plane counters (series copied by the scraper, controller
+  # ticks) must appear in the profile block — and, being inside the
+  # byte-identical p1/p2 diff above, be jobs-invariant themselves. The block
+  # lists only nonzero counters, so presence means the layer ran.
+  for counter in 'rt.counter.scraper.series' 'rt.counter.controller.ticks'; do
+    grep -q "\"$counter\"" "$smoke_dir/p1.json" \
+      || { echo "FAIL: profile block lacks control-plane counter $counter"; exit 1; }
   done
   echo "    profiled output byte-identical at --jobs 1 and --jobs 2"
 
@@ -151,9 +154,10 @@ cmake --build --preset release-bench -j "$(nproc)" --target trace_overhead
 
 # Flight-recorder overhead gate: scenario-1 with the recorder bound must
 # finish within 5% of the unrecorded run (medians of 5 interleaved samples),
-# produce identical simulation results, and cover >= 6 instrumented
-# subsystems (exits non-zero on any violation; see bench/trace_overhead.cpp
-# --obs-gate).
+# produce identical simulation results, leave every named layer counter
+# (sim, mesh, pick kernel, TSDB, scraper, controller) nonzero and record
+# events in the mesh and metrics rings (exits non-zero on any violation;
+# see bench/trace_overhead.cpp --obs-gate).
 echo "==> [release-bench] obs recorder overhead gate"
 ./build-release/bench/trace_overhead --obs-gate
 

@@ -66,7 +66,6 @@ void FaultInjector::arm(const FaultPlan& plan, SimTime time_offset) {
 
 void FaultInjector::begin_fault(const Fault& fault) {
   ++transitions_;
-  L3_OBS_SCOPE(obs_transition, kChaosTransition);
   L3_OBS_COUNT(kChaosTransitions, 1);
   L3_OBS_EVENT(kChaos, kFaultBegin, sim_.now(),
                static_cast<std::uint32_t>(fault.kind), fault.start);
@@ -96,7 +95,6 @@ void FaultInjector::begin_fault(const Fault& fault) {
 
 void FaultInjector::end_fault(const Fault& fault) {
   ++transitions_;
-  L3_OBS_SCOPE(obs_transition, kChaosTransition);
   L3_OBS_COUNT(kChaosTransitions, 1);
   L3_OBS_EVENT(kChaos, kFaultEnd, sim_.now(),
                static_cast<std::uint32_t>(fault.kind),

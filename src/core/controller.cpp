@@ -188,10 +188,7 @@ void L3Controller::tick() {
   L3_OBS_COUNT(kControllerTicks, 1);
   double total_rps = 0.0;
   for (auto& managed : managed_) {
-    {
-      L3_OBS_SCOPE(obs_manage, kControllerManage);
-      tick_split(*managed);
-    }
+    tick_split(*managed);
     total_rps += managed->last_rps_sample;
   }
   L3_OBS_EVENT(kController, kControllerTick, mesh_.simulator().now(),
@@ -211,34 +208,31 @@ void L3Controller::tick_split(ManagedSplit& managed) {
   // original order, keeping the outputs byte-identical.
   auto& g = managed.gather;
   g.resize(n);
-  {
-    L3_OBS_SCOPE(obs_gather, kControllerGather);
-    const auto& keys = managed.keys;
-    for (std::size_t i = 0; i < n; ++i) {
-      g.rps[i] = tsdb_.rate(keys.requests[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.succ_rate[i] = tsdb_.rate(keys.success[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.fail_rate[i] = tsdb_.rate(keys.failure[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.p99[i] =
-          tsdb_.quantile(keys.latency_success[i], config_.quantile, window,
-                         now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.inflight[i] = tsdb_.avg(keys.inflight[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.latency_sum_rate[i] =
-          tsdb_.rate(keys.latency_success_sum[i], window, now);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      g.fail_p50[i] = tsdb_.quantile(keys.latency_failure[i], 0.50, window,
-                                     now);
-    }
+  const auto& keys = managed.keys;
+  for (std::size_t i = 0; i < n; ++i) {
+    g.rps[i] = tsdb_.rate(keys.requests[i], window, now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.succ_rate[i] = tsdb_.rate(keys.success[i], window, now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.fail_rate[i] = tsdb_.rate(keys.failure[i], window, now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.p99[i] =
+        tsdb_.quantile(keys.latency_success[i], config_.quantile, window,
+                       now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.inflight[i] = tsdb_.avg(keys.inflight[i], window, now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.latency_sum_rate[i] =
+        tsdb_.rate(keys.latency_success_sum[i], window, now);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    g.fail_p50[i] = tsdb_.quantile(keys.latency_failure[i], 0.50, window,
+                                   now);
   }
 
   // Phase 2 — per-backend filter updates from the gathered columns.

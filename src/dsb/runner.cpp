@@ -1,7 +1,6 @@
 #include "l3/dsb/runner.h"
 
 #include "l3/common/assert.h"
-#include "l3/metrics/obs_audit.h"
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
@@ -110,12 +109,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
   result.requests = records.size();
   result.weight_updates = mesh.control_plane().updates_applied();
   result.traffic_share.assign(mesh.clusters().size(), 0.0);
-  if (recorder) {
-    recorder->sample_tracks(sim.now());
-    result.profile = recorder->profile();
-    metrics::publish_audit(recorder->snapshot(), mesh.registry(c1),
-                           "cluster-1", result.policy);
-  }
+  if (recorder) result.profile = recorder->profile();
   return result;
 }
 

@@ -101,9 +101,9 @@ std::string bench_usage(std::string_view argv0) {
       "concurrency);\n"
       "               results are byte-identical for every N\n"
       "  --json PATH  also write the unified machine-readable report\n"
-      "  --profile    self-profile every cell (flight recorder + timers);\n"
-      "               adds a deterministic `profile` block to the JSON and\n"
-      "               a wall-time table on stderr; results are unchanged\n"
+      "  --profile    bind a flight recorder to every cell; adds a\n"
+      "               deterministic `profile` block of counters to the JSON;\n"
+      "               results are unchanged\n"
       "  --proxy-cost=US\n"
       "               per-request sidecar CPU in microseconds for the\n"
       "               data-plane cost model (default 0 = model off;\n"

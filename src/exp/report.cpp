@@ -116,25 +116,14 @@ void write_cell(std::ostream& os, const ExperimentSpec& spec,
   os << '\n' << indent << '}';
 }
 
-/// The deterministic self-profile section: ProfileBlocks merged across every
+/// The deterministic `profile` section: ProfileBlocks merged across every
 /// cell of every grid in grid order (merge is element-wise summation, so the
 /// result is identical for any cell execution order — the jobs-invariance
-/// contract). Only counts are serialized; wall-clock timing never enters the
-/// report (it goes to stderr and the audit exposition instead).
+/// contract). Every field is a count; wall time never enters the report.
 void write_profile(std::ostream& os, const obs::ProfileBlock& profile) {
   os << ",\n  \"profile\": {\n    \"cells\": " << profile.cells
-     << ",\n    \"subsystems\": [";
+     << ",\n    \"counters\": [";
   bool first = true;
-  for (std::size_t i = 0; i < obs::kScopeCount; ++i) {
-    if (profile.scope_count[i] == 0) continue;
-    os << (first ? "" : ",") << "\n      {\"name\": ";
-    write_escaped(os, obs::scope_name(static_cast<obs::ScopeId>(i)));
-    os << ", \"count\": " << profile.scope_count[i]
-       << ", \"timed\": " << profile.scope_timed[i] << '}';
-    first = false;
-  }
-  os << (first ? "]" : "\n    ]") << ",\n    \"counters\": [";
-  first = true;
   for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
     if (profile.counters[i] == 0) continue;
     os << (first ? "" : ",") << "\n      {\"name\": ";
@@ -152,9 +141,7 @@ void write_profile(std::ostream& os, const obs::ProfileBlock& profile) {
        << ", \"dropped\": " << profile.ring_dropped[i] << '}';
     first = false;
   }
-  os << (first ? "]" : "\n    ]") << ",\n    \"weighted_kernel\": ";
-  write_escaped(os, profile.weighted_kernel_name());
-  os << ",\n    \"batch_hist\": [";
+  os << (first ? "]" : "\n    ]") << ",\n    \"batch_hist\": [";
   first = true;
   for (std::size_t i = 0; i < obs::kBatchBucketCount; ++i) {
     if (profile.batch_hist[i] == 0) continue;

@@ -84,7 +84,6 @@ Proxy::Proxy(sim::Simulator& sim, const WanModel& wan, ClusterId source,
 }
 
 SimDuration Proxy::admit_cost(std::size_t idx) {
-  L3_OBS_SCOPE_SAMPLED(obs_cost, kProxyCost);
   const SimTime now = sim_.now();
   const EdgeConnectionPool::Checkout checkout = pools_[idx].checkout(now);
   SimDuration service = config_.cost.cpu_per_request;
@@ -167,7 +166,6 @@ void Proxy::refresh_picker() {
       avail_mask_ == picker_mask_) {
     return;
   }
-  L3_OBS_SCOPE(obs_rebuild, kPickerRebuild);
   const auto backends = split_.backends();
   cum_weights_.clear();
   cum_index_.clear();
@@ -198,7 +196,6 @@ constexpr std::array<obs::CounterId, pick::kWeightedKernelCount>
 }  // namespace
 
 std::size_t Proxy::pick_weighted() {
-  L3_OBS_SCOPE_SAMPLED(obs_pick, kWeightedPick);
   const std::size_t count = cum_index_.size();
   L3_ASSERT(count > 0);
   // Kernel selection is one compare on the table size; every kernel
@@ -231,7 +228,6 @@ double Proxy::p2c_cost(const BackendSlot& slot) const {
 }
 
 std::size_t Proxy::pick_p2c() {
-  L3_OBS_SCOPE_SAMPLED(obs_pick, kP2cPick);
   L3_OBS_COUNT(kPickKernelP2c, 1);
   // The candidate set is a pure function of the availability mask, so it is
   // rebuilt only when the mask changes instead of on every pick (the
@@ -463,7 +459,6 @@ void Proxy::drain_finished_timeouts() {
 }
 
 void Proxy::on_timeout_timer() {
-  L3_OBS_SCOPE(obs_sweep, kTimeoutSweep);
   timeout_timer_armed_ = false;
   const SimTime now = sim_.now();
   while (timeout_count_ > 0) {

@@ -37,7 +37,6 @@ void Scraper::start(SimDuration interval) {
 }
 
 void Scraper::build_plan(Target& target) {
-  L3_OBS_SCOPE(obs_plan, kScraperPlan);
   ColumnBlock& plan = target.plan;
   plan.counters.clear();
   plan.counter_ids.clear();
@@ -72,7 +71,6 @@ void Scraper::build_plan(Target& target) {
 }
 
 void Scraper::scrape_once() {
-  L3_OBS_SCOPE(obs_scrape, kScraperScrape);
   const SimTime now = sim_.now();
   std::size_t series_copied = 0;
   std::size_t targets_scraped = 0;

@@ -99,19 +99,7 @@ HistogramId TimeSeriesDb::histogram_series(std::string_view name) {
   return HistogramId(index);
 }
 
-SeriesId TimeSeriesDb::find_series(std::string_view name) const {
-  const auto it = scalar_index_.find(name);
-  return it == scalar_index_.end() ? SeriesId() : SeriesId(it->second);
-}
-
-HistogramId TimeSeriesDb::find_histogram_series(std::string_view name) const {
-  const auto it = histogram_index_.find(name);
-  return it == histogram_index_.end() ? HistogramId()
-                                      : HistogramId(it->second);
-}
-
 void TimeSeriesDb::append(SeriesId id, SimTime t, double value) {
-  L3_OBS_SCOPE_SAMPLED(obs_append, kTsdbAppend);
   L3_OBS_COUNT(kTsdbSamples, 1);
   L3_EXPECTS(id.valid() && id.index_ < scalars_.size());
   auto& samples = scalars_[id.index_].samples;
@@ -146,7 +134,6 @@ std::span<const double> TimeSeriesDb::histogram_bounds(HistogramId id) const {
 
 void TimeSeriesDb::append_histogram(HistogramId id, SimTime t,
                                     std::span<const double> cumulative_counts) {
-  L3_OBS_SCOPE_SAMPLED(obs_append, kTsdbAppend);
   L3_OBS_COUNT(kTsdbSamples, 1);
   L3_EXPECTS(id.valid() && id.index_ < histograms_.size());
   auto& series = histograms_[id.index_];
@@ -167,11 +154,8 @@ void TimeSeriesDb::append_histogram(HistogramId id, SimTime t,
 
 void TimeSeriesDb::compact(SimTime now) {
   const SimTime cutoff = now - retention_;
-  // Fast path: nothing in the store can be older than the cutoff. The obs
-  // scope covers the slow path only, so the profile reports real compaction
-  // work rather than no-op calls.
+  // Fast path: nothing in the store can be older than the cutoff.
   if (oldest_sample_ >= cutoff) return;
-  L3_OBS_SCOPE(obs_compact, kTsdbCompact);
 
   SimTime oldest = kNoSamples;
   for (auto& series : scalars_) {

@@ -3,19 +3,10 @@
 #include "l3/common/assert.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace l3::obs {
 
 namespace {
-
-constexpr std::array<std::string_view, kScopeCount> kScopeNames = {
-    "sim.dispatch",        "mesh.picker_rebuild", "mesh.pick_weighted",
-    "mesh.pick_p2c",       "mesh.timeout_sweep",  "mesh.proxy_cost",
-    "tsdb.append",         "tsdb.compact",        "scraper.scrape",
-    "scraper.plan",        "controller.manage",   "controller.gather",
-    "chaos.transition",
-};
 
 constexpr std::array<std::string_view, kCounterCount> kCounterNames = {
     "rt.counter.sim.events",
@@ -51,12 +42,6 @@ constexpr std::array<std::string_view, kDomainCount> kDomainNames = {
 };
 
 }  // namespace
-
-std::string_view scope_name(ScopeId id) {
-  const auto i = static_cast<std::size_t>(id);
-  L3_EXPECTS(i < kScopeCount);
-  return kScopeNames[i];
-}
 
 std::string_view counter_name(CounterId id) {
   const auto i = static_cast<std::size_t>(id);
@@ -108,42 +93,8 @@ std::string_view batch_bucket_label(std::size_t bucket) {
 // ---------------------------------------------------------------------------
 // ProfileBlock
 
-std::string_view ProfileBlock::weighted_kernel_name() const {
-  struct Entry {
-    CounterId id;
-    std::string_view name;
-  };
-  // Ties break toward the first listed (selection order); one kernel serves
-  // every pick of a run unless its splits straddle kLinearMax backends.
-  constexpr Entry kEntries[] = {
-      {CounterId::kPickKernelLinear, "linear"},
-      {CounterId::kPickKernelMultiLane, "multilane"},
-  };
-  std::string_view best = "none";
-  std::uint64_t best_count = 0;
-  for (const Entry& e : kEntries) {
-    const std::uint64_t c = counters[static_cast<std::size_t>(e.id)];
-    if (c > best_count) {
-      best_count = c;
-      best = e.name;
-    }
-  }
-  return best;
-}
-
-std::size_t ProfileBlock::active_subsystems() const {
-  std::size_t n = 0;
-  for (const std::uint64_t c : scope_count) n += (c > 0) ? 1 : 0;
-  return n;
-}
-
 void ProfileBlock::merge(const ProfileBlock& other) {
   cells += other.cells;
-  for (std::size_t i = 0; i < kScopeCount; ++i) {
-    scope_count[i] += other.scope_count[i];
-    scope_timed[i] += other.scope_timed[i];
-    scope_wall_ns[i] += other.scope_wall_ns[i];
-  }
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     counters[i] += other.counters[i];
   }
@@ -159,8 +110,7 @@ void ProfileBlock::merge(const ProfileBlock& other) {
 // ---------------------------------------------------------------------------
 // Shard
 
-Shard::Shard(const RecorderConfig& config, Recorder* owner)
-    : owner_(owner), max_wall_samples_(std::max<std::size_t>(config.max_wall_samples, 2)) {
+Shard::Shard(const RecorderConfig& config, Recorder* owner) : owner_(owner) {
   for (auto& ring : rings_) {
     ring.buf.resize(config.ring_capacity);
   }
@@ -173,28 +123,6 @@ void Shard::set_gauge(GaugeId id, double value) {
   // used to pick a last-writer-wins value at merge time.
   cell.seq =
       owner_->gauge_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void Shard::record_scope_ns(ScopeId id, double ns) {
-  ScopeStats& s = scopes_[static_cast<std::size_t>(id)];
-  ++s.timed;
-  s.total_ns += ns;
-  s.max_ns = std::max(s.max_ns, ns);
-  // Bounded reservoir with deterministic stride decimation: when full, keep
-  // every other kept sample and double the stride. Coverage stays uniform
-  // over the run, memory stays O(max_wall_samples).
-  if (s.stride_phase++ % s.stride != 0) return;
-  if (s.samples.size() >= max_wall_samples_) {
-    std::vector<double> kept;
-    kept.reserve(s.samples.size() / 2 + 1);
-    for (std::size_t i = 0; i < s.samples.size(); i += 2) {
-      kept.push_back(s.samples[i]);
-    }
-    s.samples = std::move(kept);
-    s.stride *= 2;
-    s.stride_phase = 1;  // this sample counts as the first of the new stride
-  }
-  s.samples.push_back(ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,10 +143,8 @@ void Recorder::sample_tracks(SimTime now) {
   // previous sample so unchanged series add no track points. The first call
   // emits only nonzero values (keeps traces and goldens small).
   std::array<double, kCounterCount> counter_now{};
-  std::array<GaugeId, kGaugeCount> gauge_ids{};
   std::array<double, kGaugeCount> gauge_now{};
   std::array<std::uint64_t, kGaugeCount> gauge_seq{};
-  (void)gauge_ids;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& shard : shards_) {
@@ -261,9 +187,6 @@ void Recorder::sample_tracks(SimTime now) {
 
 Snapshot Recorder::snapshot() const {
   Snapshot snap;
-  for (std::size_t i = 0; i < kScopeCount; ++i) {
-    snap.scopes[i].name = kScopeNames[i];
-  }
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     snap.counters[i].name = kCounterNames[i];
   }
@@ -274,7 +197,6 @@ Snapshot Recorder::snapshot() const {
     snap.rings[i].domain = kDomainNames[i];
   }
 
-  std::array<std::vector<double>, kScopeCount> wall_samples;
   std::array<std::uint64_t, kGaugeCount> gauge_seq{};
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -288,16 +210,6 @@ Snapshot Recorder::snapshot() const {
           gauge_seq[i] = cell.seq;
           snap.gauges[i].value = cell.value;
         }
-      }
-      for (std::size_t i = 0; i < kScopeCount; ++i) {
-        const Shard::ScopeStats& s = shard->scopes_[i];
-        Snapshot::Scope& out = snap.scopes[i];
-        out.count += s.count;
-        out.timed += s.timed;
-        out.wall_ns_total += s.total_ns;
-        out.wall_ns_max = std::max(out.wall_ns_max, s.max_ns);
-        wall_samples[i].insert(wall_samples[i].end(), s.samples.begin(),
-                               s.samples.end());
       }
       for (std::size_t i = 0; i < kDomainCount; ++i) {
         const Shard::EventRing& ring = shard->rings_[i];
@@ -331,11 +243,6 @@ Snapshot Recorder::snapshot() const {
                        return a.time < b.time;
                      });
   }
-  for (std::size_t i = 0; i < kScopeCount; ++i) {
-    if (!wall_samples[i].empty()) {
-      snap.scopes[i].wall_ns = summarize(wall_samples[i]);
-    }
-  }
   return snap;
 }
 
@@ -344,12 +251,6 @@ ProfileBlock Recorder::profile() const {
   block.cells = 1;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < kScopeCount; ++i) {
-      const Shard::ScopeStats& s = shard->scopes_[i];
-      block.scope_count[i] += s.count;
-      block.scope_timed[i] += s.timed;
-      block.scope_wall_ns[i] += s.total_ns;
-    }
     for (std::size_t i = 0; i < kCounterCount; ++i) {
       block.counters[i] += shard->counters_[i];
     }
@@ -377,13 +278,6 @@ ScopedRecorderBind::ScopedRecorderBind(Recorder& recorder) {
 
 ScopedRecorderBind::~ScopedRecorderBind() {
   detail::tl_shard_slot() = prev_;
-}
-
-double ScopedTimer::now_ns() noexcept {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace l3::obs

@@ -85,20 +85,16 @@ std::size_t Simulator::run_until(SimTime end) {
   std::size_t processed = 0;
   while (!queue_.empty() && !stop_requested_) {
     if (queue_.min_time() > end) break;
-    std::size_t batch = 0;
-    {
-      L3_OBS_SCOPE_SAMPLED(obs_dispatch, kSimDispatch);
-      // Drain a batch with each callable invoked in place; the queue's
-      // chunked slot pool keeps slots stable across re-entrant scheduling,
-      // so no move-out is needed. Order is identical to the per-event loop;
-      // the empty/min_time probes and obs records amortize over the batch.
-      batch = queue_.dispatch_batch(
-          end, dispatch_batch_, [this](SimTime t, EventFn& fn) {
-            now_ = t;
-            fn();
-            return !stop_requested_;
-          });
-    }
+    // Drain a batch with each callable invoked in place; the queue's
+    // chunked slot pool keeps slots stable across re-entrant scheduling, so
+    // no move-out is needed. Order is identical to the per-event loop; the
+    // empty/min_time probes and obs records amortize over the batch.
+    const std::size_t batch = queue_.dispatch_batch(
+        end, dispatch_batch_, [this](SimTime t, EventFn& fn) {
+          now_ = t;
+          fn();
+          return !stop_requested_;
+        });
     processed += batch;
     executed_ += batch;
     L3_OBS_COUNT(kSimEvents, batch);
@@ -113,15 +109,12 @@ std::size_t Simulator::run_until(SimTime end) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  {
-    L3_OBS_SCOPE_SAMPLED(obs_dispatch, kSimDispatch);
-    queue_.dispatch_batch(std::numeric_limits<SimTime>::infinity(), 1,
-                          [this](SimTime t, EventFn& fn) {
-                            now_ = t;
-                            fn();
-                            return true;
-                          });
-  }
+  queue_.dispatch_batch(std::numeric_limits<SimTime>::infinity(), 1,
+                        [this](SimTime t, EventFn& fn) {
+                          now_ = t;
+                          fn();
+                          return true;
+                        });
   ++executed_;
   L3_OBS_COUNT(kSimEvents, 1);
   return true;

@@ -6,7 +6,6 @@
 #include "l3/lb/locality_policy.h"
 #include "l3/lb/policy.h"
 #include "l3/mesh/mesh.h"
-#include "l3/metrics/obs_audit.h"
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
@@ -213,14 +212,7 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
     }
     result.mean_attempts = attempts / static_cast<double>(records.size());
   }
-  if (recorder) {
-    recorder->sample_tracks(sim.now());  // close the counter tracks
-    result.profile = recorder->profile();
-    // Audit tier: the final exposition of the controller cluster's registry
-    // carries the low-cardinality l3_obs_* families.
-    metrics::publish_audit(recorder->snapshot(), mesh.registry(c1),
-                           "cluster-1", result.policy);
-  }
+  if (recorder) result.profile = recorder->profile();
   return result;
 }
 

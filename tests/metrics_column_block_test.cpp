@@ -72,8 +72,8 @@ TEST_F(ColumnBlockTest, ColumnarScrapeMatchesPerSeriesCopy) {
   sim.run_until(5.0);
   scraper.scrape_once();
 
-  // Oracle: the same two snapshots written through the string-keyed API in
-  // registry enumeration order.
+  // Oracle: the same two snapshots written series by series in registry
+  // enumeration order, each name interned at the write.
   TimeSeriesDb oracle;
   Registry shadow;
   shadow.counter("req", {{"dst", "a"}}).add(7.0);
@@ -83,11 +83,16 @@ TEST_F(ColumnBlockTest, ColumnarScrapeMatchesPerSeriesCopy) {
   for (int i = 0; i < 50; ++i) sh.record(0.030 + 0.001 * i);
   auto copy_all = [&](SimTime at) {
     shadow.for_each(
-        [&](const std::string& key, double v) { oracle.append(key, at, v); },
-        [&](const std::string& key, double v) { oracle.append(key, at, v); },
+        [&](const std::string& key, double v) {
+          oracle.append(oracle.series(key), at, v);
+        },
+        [&](const std::string& key, double v) {
+          oracle.append(oracle.series(key), at, v);
+        },
         [&](const std::string& key, const HistogramSeries& hs) {
-          oracle.append_histogram(key, at, hs.bounds(),
-                                  hs.cumulative_counts());
+          const HistogramId id = oracle.histogram_series(key);
+          oracle.set_histogram_bounds(id, hs.bounds());
+          oracle.append_histogram(id, at, hs.cumulative_counts());
         });
   };
   copy_all(0.0);
@@ -96,18 +101,21 @@ TEST_F(ColumnBlockTest, ColumnarScrapeMatchesPerSeriesCopy) {
   copy_all(5.0);
 
   for (const std::string key : {"req{dst=a}", "req{dst=b}", "inflight{}"}) {
-    const auto got = tsdb.rate(key, 10.0, 5.0);
-    const auto want = oracle.rate(key, 10.0, 5.0);
+    const auto got = tsdb.rate(tsdb.series(key), 10.0, 5.0);
+    const auto want = oracle.rate(oracle.series(key), 10.0, 5.0);
     ASSERT_EQ(got.has_value(), want.has_value()) << key;
     if (got) {
       EXPECT_EQ(*got, *want) << key;
     }
-    EXPECT_EQ(*tsdb.last(key, 10.0, 5.0), *oracle.last(key, 10.0, 5.0))
+    EXPECT_EQ(*tsdb.last(tsdb.series(key), 10.0, 5.0),
+              *oracle.last(oracle.series(key), 10.0, 5.0))
         << key;
   }
   for (const double q : {0.5, 0.99}) {
-    const auto got = tsdb.quantile("lat{}", q, 10.0, 5.0);
-    const auto want = oracle.quantile("lat{}", q, 10.0, 5.0);
+    const auto got =
+        tsdb.quantile(tsdb.histogram_series("lat{}"), q, 10.0, 5.0);
+    const auto want =
+        oracle.quantile(oracle.histogram_series("lat{}"), q, 10.0, 5.0);
     ASSERT_TRUE(got.has_value());
     ASSERT_TRUE(want.has_value());
     EXPECT_EQ(*got, *want) << "q=" << q;
@@ -127,12 +135,14 @@ TEST_F(ColumnBlockTest, HistogramRowWidthFollowsCustomBounds) {
   registry.histogram("wide", {}, &wide).record(0.005);
   scraper.scrape_once();
 
-  const auto narrow_q = tsdb.quantile("narrow{}", 0.5, 10.0, 5.0);
+  const auto narrow_q =
+      tsdb.quantile(tsdb.histogram_series("narrow{}"), 0.5, 10.0, 5.0);
   ASSERT_TRUE(narrow_q.has_value());
   // The second observation lands in the +Inf bucket; the quantile clamps
   // to the highest finite bound.
   EXPECT_DOUBLE_EQ(*narrow_q, 0.1);
-  const auto wide_q = tsdb.quantile("wide{}", 0.5, 10.0, 5.0);
+  const auto wide_q =
+      tsdb.quantile(tsdb.histogram_series("wide{}"), 0.5, 10.0, 5.0);
   ASSERT_TRUE(wide_q.has_value());
   EXPECT_LE(*wide_q, 0.01 + 1e-12);
 }
@@ -149,12 +159,12 @@ TEST_F(ColumnBlockTest, TargetLookupIsByNameFirstAddWins) {
   // scan's first-match semantics); the second keeps scraping.
   EXPECT_TRUE(scraper.set_target_enabled("dup", false));
   scraper.scrape_once();
-  EXPECT_FALSE(tsdb.last("a{}", 1.0, 0.0).has_value());
-  EXPECT_TRUE(tsdb.last("b{}", 1.0, 0.0).has_value());
+  EXPECT_FALSE(tsdb.last(tsdb.series("a{}"), 1.0, 0.0).has_value());
+  EXPECT_TRUE(tsdb.last(tsdb.series("b{}"), 1.0, 0.0).has_value());
 
   EXPECT_TRUE(scraper.set_target_enabled("dup", true));
   scraper.scrape_once();
-  EXPECT_TRUE(tsdb.last("a{}", 1.0, 0.0).has_value());
+  EXPECT_TRUE(tsdb.last(tsdb.series("a{}"), 1.0, 0.0).has_value());
 
   EXPECT_FALSE(scraper.set_target_enabled("missing", false));
 }

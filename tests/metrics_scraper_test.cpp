@@ -23,13 +23,13 @@ TEST_F(ScraperTest, ScrapesOnInterval) {
   c.add(10.0);
   sim.run_until(12.0);  // scrapes at t=5, t=10
   EXPECT_EQ(scraper.scrape_count(), 2u);
-  const auto rate = tsdb.rate("req{}", 10.0, 12.0);
+  const auto rate = tsdb.rate(tsdb.series("req{}"), 10.0, 12.0);
   ASSERT_TRUE(rate.has_value());
   EXPECT_DOUBLE_EQ(*rate, 0.0);  // counter static between the two scrapes
 
   c.add(25.0);
   sim.run_until(16.0);  // scrape at t=15 sees 35
-  const auto rate2 = tsdb.rate("req{}", 10.0, 16.0);
+  const auto rate2 = tsdb.rate(tsdb.series("req{}"), 10.0, 16.0);
   ASSERT_TRUE(rate2.has_value());
   EXPECT_DOUBLE_EQ(*rate2, 25.0 / 5.0);
 }
@@ -40,7 +40,7 @@ TEST_F(ScraperTest, ScrapeOnceIsImmediate) {
   registry.gauge("g", {}).set(3.0);
   scraper.scrape_once();
   EXPECT_EQ(scraper.scrape_count(), 1u);
-  EXPECT_DOUBLE_EQ(*tsdb.last("g{}", 1.0, 0.0), 3.0);
+  EXPECT_DOUBLE_EQ(*tsdb.last(tsdb.series("g{}"), 1.0, 0.0), 3.0);
 }
 
 TEST_F(ScraperTest, DisabledTargetLeavesGap) {
@@ -50,17 +50,17 @@ TEST_F(ScraperTest, DisabledTargetLeavesGap) {
   scraper.start(5.0);
   c.add(5.0);
   sim.run_until(11.0);
-  ASSERT_TRUE(tsdb.rate("req{}", 10.0, 11.0).has_value());
+  ASSERT_TRUE(tsdb.rate(tsdb.series("req{}"), 10.0, 11.0).has_value());
 
   // Inject a scrape outage (the §4 ">10 s without data" path).
   EXPECT_TRUE(scraper.set_target_enabled("t", false));
   sim.run_until(40.0);
-  EXPECT_FALSE(tsdb.rate("req{}", 10.0, 40.0).has_value());
+  EXPECT_FALSE(tsdb.rate(tsdb.series("req{}"), 10.0, 40.0).has_value());
 
   // Recovery.
   EXPECT_TRUE(scraper.set_target_enabled("t", true));
   sim.run_until(55.0);
-  EXPECT_TRUE(tsdb.rate("req{}", 10.0, 55.0).has_value());
+  EXPECT_TRUE(tsdb.rate(tsdb.series("req{}"), 10.0, 55.0).has_value());
 }
 
 TEST_F(ScraperTest, UnknownTargetNameReturnsFalse) {
@@ -76,8 +76,8 @@ TEST_F(ScraperTest, MultipleTargetsAllScraped) {
   registry.counter("m", {{"t", "a"}}).add(1.0);
   r2.counter("m", {{"t", "b"}}).add(2.0);
   scraper.scrape_once();
-  EXPECT_DOUBLE_EQ(*tsdb.last("m{t=a}", 1.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(*tsdb.last("m{t=b}", 1.0, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(*tsdb.last(tsdb.series("m{t=a}"), 1.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(*tsdb.last(tsdb.series("m{t=b}"), 1.0, 0.0), 2.0);
 }
 
 TEST_F(ScraperTest, HistogramsFlowThrough) {
@@ -88,7 +88,8 @@ TEST_F(ScraperTest, HistogramsFlowThrough) {
   sim.run_until(6.0);  // baseline scrape with no data
   for (int i = 0; i < 100; ++i) h.record(0.050);
   sim.run_until(11.0);
-  const auto p99 = tsdb.quantile("lat{}", 0.99, 10.0, 11.0);
+  const auto p99 =
+      tsdb.quantile(tsdb.histogram_series("lat{}"), 0.99, 10.0, 11.0);
   ASSERT_TRUE(p99.has_value());
   // All observations are in the (40 ms, 50 ms] Linkerd bucket.
   EXPECT_GT(*p99, 0.040);
@@ -114,14 +115,14 @@ TEST_F(ScraperTest, PicksUpSeriesCreatedMidRun) {
   registry.counter("a", {}).add(1.0);
   scraper.start(5.0);
   sim.run_until(6.0);  // scrape at t=5 plans only "a"
-  EXPECT_FALSE(tsdb.last("b{}", 100.0, sim.now()).has_value());
+  EXPECT_FALSE(tsdb.last(tsdb.series("b{}"), 100.0, sim.now()).has_value());
 
   registry.counter("b", {}).add(3.0);
   sim.run_until(11.0);  // scrape at t=10 must rebuild the plan
-  const auto b = tsdb.last("b{}", 100.0, sim.now());
+  const auto b = tsdb.last(tsdb.series("b{}"), 100.0, sim.now());
   ASSERT_TRUE(b.has_value());
   EXPECT_DOUBLE_EQ(*b, 3.0);
-  const auto a = tsdb.last("a{}", 100.0, sim.now());
+  const auto a = tsdb.last(tsdb.series("a{}"), 100.0, sim.now());
   ASSERT_TRUE(a.has_value());
   EXPECT_DOUBLE_EQ(*a, 1.0);
 }

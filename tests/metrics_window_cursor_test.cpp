@@ -120,6 +120,8 @@ TEST(WindowCursorTest, QuantileMatchesBinarySearchOracle) {
     TimeSeriesDb oracle(30.0);
     const HistogramId lh = live.histogram_series("h");
     const HistogramId oh = oracle.histogram_series("h");
+    live.set_histogram_bounds(lh, bounds);
+    oracle.set_histogram_bounds(oh, bounds);
     const SimDuration window = 10.0;
     double t = 0.0;
     std::vector<double> cum(bounds.size() + 1, 0.0);
@@ -137,8 +139,8 @@ TEST(WindowCursorTest, QuantileMatchesBinarySearchOracle) {
           for (std::size_t b = 1; b < cum.size(); ++b) {
             cum[b] = std::max(cum[b], cum[b - 1]);
           }
-          live.append_histogram(lh, t, bounds, cum);
-          oracle.append_histogram(oh, t, bounds, cum);
+          live.append_histogram(lh, t, cum);
+          oracle.append_histogram(oh, t, cum);
           break;
         }
         case 4: {
