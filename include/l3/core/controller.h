@@ -30,6 +30,7 @@
 #include "l3/sim/simulator.h"
 #include "l3/trace/journal.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>

@@ -26,7 +26,6 @@ struct DsbRunnerConfig {
   SimDuration wan_flap_amp = 0.001;
   SimDuration local_one_way = 0.0005;
   SimDuration scrape_interval = 5.0;
-  SimDuration propagation_delay = 0.0;
   /// Bind an obs::Recorder for the run (see workload::RunnerConfig::profile).
   bool profile = false;
 
@@ -41,11 +40,6 @@ struct DsbRunnerConfig {
 /// Runs the hotel-reservation application under one policy.
 workload::RunResult run_hotel_reservation(workload::PolicyKind kind,
                                           const DsbRunnerConfig& config = {});
-
-/// Repeats with derived seeds (the paper alternates 3 repetitions).
-std::vector<workload::RunResult> run_hotel_reservation_repeated(
-    workload::PolicyKind kind, const DsbRunnerConfig& config,
-    int repetitions);
 
 /// Runs the social-network application under one policy — the extension
 /// workload; `config.app` is ignored, `social` configures the application.

@@ -72,18 +72,12 @@ class ControlPlane {
   /// delay (immediately when the delay is zero).
   void apply(TrafficSplit& split, std::vector<std::uint64_t> weights);
 
-  SimDuration propagation_delay() const { return propagation_delay_; }
-  void set_propagation_delay(SimDuration d) {
-    L3_EXPECTS(d >= 0.0);
-    propagation_delay_ = d;
-  }
-
   /// Number of weight updates pushed so far.
   std::uint64_t updates_applied() const { return updates_; }
 
  private:
   sim::Simulator& sim_;
-  SimDuration propagation_delay_;
+  const SimDuration propagation_delay_;
   std::uint64_t updates_ = 0;
 };
 

@@ -272,7 +272,8 @@ class Recorder {
 };
 
 // ---------------------------------------------------------------------------
-// Thread binding (mirrors common/logging.h's ScopedLogBind).
+// Thread binding: L3_OBS_* macros write to the shard of the innermost
+// ScopedRecorderBind on the calling thread.
 
 namespace detail {
 // Header-inline so local_shard() compiles to a direct TLS load at every

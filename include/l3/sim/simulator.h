@@ -8,7 +8,8 @@
 // tests/sim_determinism_test.cpp).
 //
 // Hot-path design (see include/l3/sim/event.h): events are EventFns with
-// inline storage for small captures, queued in an explicit 4-ary min-heap.
+// inline storage for small captures, queued in a tiered EventQueue (a 4-ary
+// heap front, a sorted run and an unsorted staging area).
 // Periodic tasks keep their callback in a single heap-allocated control
 // block for their whole lifetime and reschedule in place — the nth firing
 // lands at exactly `first + n * interval`, so co-periodic tasks (5 s control
@@ -16,7 +17,6 @@
 #pragma once
 
 #include "l3/common/assert.h"
-#include "l3/common/logging.h"
 #include "l3/common/time.h"
 #include "l3/sim/event.h"
 
@@ -63,17 +63,9 @@ class Simulator {
  public:
   using EventFn = sim::EventFn;
 
-  /// Construction binds this simulator's LogContext to the current thread
-  /// (restored on destruction), and wires the sim clock in as its time
-  /// provider. A Simulator must be constructed, run and destroyed on the
-  /// same thread; concurrent Simulators on different threads are fully
-  /// isolated — no shared mutable state, including logging.
-  Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// This simulation's logging configuration (level, sink, time stamps).
-  LogContext& log() { return log_context_; }
 
   /// Current simulated time in seconds.
   SimTime now() const { return now_; }
@@ -153,8 +145,6 @@ class Simulator {
   void schedule_periodic_firing(std::shared_ptr<detail::PeriodicTask> task,
                                 SimTime at);
 
-  LogContext log_context_;
-  ScopedLogBind log_bind_;
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -116,7 +116,9 @@ struct RunResult {
   std::uint64_t weight_updates = 0;
   /// Mean client attempts per request (1.0 when retries are off).
   double mean_attempts = 1.0;
-  /// Post-warm-up traffic share per backend cluster (fraction of requests).
+  /// Post-warm-up traffic share per backend cluster (fraction of requests);
+  /// empty when the runner measures no split (the DSB runners' client calls
+  /// its local frontend).
   std::vector<double> traffic_share;
   /// Data-plane cost-model accounting of the cluster-1 proxy (handshakes,
   /// pool hits, CPU-stage queueing); all zeros when the model is disabled.
@@ -137,22 +139,5 @@ RunResult run_scenario(const ScenarioTrace& trace, PolicyKind kind,
 RunResult run_scenario_with(const ScenarioTrace& trace,
                             std::unique_ptr<lb::LoadBalancingPolicy> policy,
                             const RunnerConfig& config = {});
-
-/// Runs `repetitions` times with derived seeds and returns all results
-/// (the paper repeats each benchmark 2–3 times).
-std::vector<RunResult> run_scenario_repeated(const ScenarioTrace& trace,
-                                             PolicyKind kind,
-                                             const RunnerConfig& config,
-                                             int repetitions);
-
-/// Mean P99 (seconds) across repetitions, over all requests.
-double mean_p99(const std::vector<RunResult>& results);
-
-/// Mean success rate across repetitions.
-double mean_success_rate(const std::vector<RunResult>& results);
-
-/// Mean of an arbitrary percentile accessor across repetitions.
-double mean_of(const std::vector<RunResult>& results,
-               double (*accessor)(const RunResult&));
 
 }  // namespace l3::workload

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Builds the test suite under AddressSanitizer and UndefinedBehaviorSanitizer
 # and runs ctest for each, runs the concurrency-sensitive tests (experiment
-# runner, simulator, logging, obs shard merge, shard engine + mailboxes)
+# runner, simulator, obs shard merge, shard engine + mailboxes)
 # under ThreadSanitizer, then the plain RelWithDebInfo build,
 # jobs-invariance smoke diffs on figure benches (plain, chaos and
 # --profile, which must carry the scraper and controller counters), a
 # --proxy-cost=0 zero-cost identity diff, an L3_OBS=OFF byte-identical
 # golden, then the Release-mode gates: the flight-recorder overhead gate
 # (median of interleaved runs, in-process; every layer's named counters
-# nonzero), the sharded-mega
-# gate (shards=4 req/s >= a fixed fraction of shards=1 req/s, in-process),
-# and a per-kernel micro-bench smoke. Dispatch-batch invariance is gated in
-# ctest (BatchedTraceIdentity.*). Every ctest run includes the
+# nonzero) and the sharded-mega gate (shards=4 req/s >= a fixed fraction of
+# shards=1 req/s, in-process). Dispatch-batch invariance is gated in ctest
+# (BatchedTraceIdentity.*), and so is pick-kernel correctness
+# (PickKernels.*). Every ctest run includes the
 # machine-independent throughput guards: picker table not rebuilt per pick,
 # mega-shaped control plane keeps its scrape plans and window cursors, and
 # proxy saturation compresses L3's share skew >= 1.5x. Shard-count
@@ -41,11 +41,11 @@ for preset in "${presets[@]}"; do
   echo "==> [$preset] test"
   if [[ "$preset" == tsan ]]; then
     # TSan is ~10x slower; cover the code that actually runs threads —
-    # the parallel experiment runner, the simulator's context binding and
-    # the concurrent-logging tests — plus the pooled call-state lifecycle
-    # tests (SlotPool/ProxyCallPool), whose handle-staleness races are the
-    # invariant the request-path overhaul leans on, and the chaos crash /
-    # injector tests, which recycle those handles mid-flight.
+    # the parallel experiment runner and the simulator tests — plus the
+    # pooled call-state lifecycle tests (SlotPool/ProxyCallPool), whose
+    # handle-staleness races are the invariant the request-path overhaul
+    # leans on, and the chaos crash / injector tests, which recycle those
+    # handles mid-flight.
     # ...and the obs recorder's multi-thread shard merge.
     # ...plus the batched dispatch and pick-kernel suites: dispatch batches
     # share the EventQueue slot pool, and the pick kernels read the picker
@@ -62,7 +62,7 @@ for preset in "${presets[@]}"; do
     # pool/CPU-stage state rides inside every proxy the parallel experiment
     # runner and the sharded mega scenario instantiate per worker.
     ctest --preset "$preset" \
-      -R 'Experiment|ResultGrid|CellSeed|Simulator|LogContext|SlotPool|ProxyCallPool|Chaos|Crash|ObsRecorder|DispatchBatch|BatchedTraceIdentity|PickKernels|Shard|Mailbox|Mega|WindowCursor|ColumnBlock|ProxyCost|ConnectionPool'
+      -R 'Experiment|ResultGrid|CellSeed|Simulator|SlotPool|ProxyCallPool|Chaos|Crash|ObsRecorder|DispatchBatch|BatchedTraceIdentity|PickKernels|Shard|Mailbox|Mega|WindowCursor|ColumnBlock|ProxyCost|ConnectionPool'
   else
     ctest --preset "$preset"
   fi
@@ -167,15 +167,4 @@ echo "==> [release-bench] obs recorder overhead gate"
 echo "==> [release-bench] sim_core sharded-mega gate"
 ./build-release/bench/sim_core
 
-# Pick-kernel micro bench smoke: every (kernel, table size) pair runs.
-# Output is informational; failure to run (bad kernel id, out-of-bounds
-# table) aborts the script.
-echo "==> [release-bench] pick-kernel micro bench"
-cmake --build --preset release-bench -j "$(nproc)" --target micro_algorithms \
-  >/dev/null
-./build-release/bench/micro_algorithms \
-  --benchmark_filter='BM_WeightedPickKernel' \
-  --benchmark_min_time=0.05 2>/dev/null | grep -E 'BM_|items_per_second' \
-  | head -20
-
-echo "All checks passed: ${presets[*]} (ctest incl. picker-rebuild, control-plane cache and proxy-cost gates) + obs gate + sharded-mega gate + pick-kernel smoke"
+echo "All checks passed: ${presets[*]} (ctest incl. picker-rebuild, control-plane cache and proxy-cost gates) + obs gate + sharded-mega gate"

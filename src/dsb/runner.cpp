@@ -1,13 +1,11 @@
 #include "l3/dsb/runner.h"
 
-#include "l3/common/assert.h"
 #include "l3/metrics/scraper.h"
 #include "l3/metrics/tsdb.h"
 #include "l3/obs/recorder.h"
 #include "l3/sim/simulator.h"
 #include "l3/workload/client.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,7 +35,6 @@ workload::RunResult run_app(workload::PolicyKind kind,
 
   mesh::MeshConfig mesh_config;
   mesh_config.local_delay = config.local_one_way;
-  mesh_config.propagation_delay = config.propagation_delay;
   mesh::Mesh mesh(sim, root.split("mesh"), mesh_config);
 
   const auto c1 = mesh.add_cluster("cluster-1", "eu-central-1");
@@ -90,15 +87,7 @@ workload::RunResult run_app(workload::PolicyKind kind,
       root.split("client"), client_config);
   client.start(0.0, t1);
 
-  sim::PeriodicHandle track_task;
-  if (recorder) {
-    track_task = sim.schedule_every(
-        std::max(config.scrape_interval, 1.0),
-        [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
-  }
-
   sim.run_until(t1 + 30.0);
-  track_task.cancel();
 
   workload::RunResult result;
   result.policy = std::string(workload::policy_name(kind));
@@ -108,7 +97,6 @@ workload::RunResult run_app(workload::PolicyKind kind,
   result.timeline = workload::aggregate_timeline(records, t0, t1);
   result.requests = records.size();
   result.weight_updates = mesh.control_plane().updates_applied();
-  result.traffic_share.assign(mesh.clusters().size(), 0.0);
   if (recorder) result.profile = recorder->profile();
   return result;
 }
@@ -124,20 +112,6 @@ workload::RunResult run_hotel_reservation(workload::PolicyKind kind,
         return std::make_unique<HotelReservationApp>(mesh, std::move(clusters),
                                                      config.app, rng);
       });
-}
-
-std::vector<workload::RunResult> run_hotel_reservation_repeated(
-    workload::PolicyKind kind, const DsbRunnerConfig& config,
-    int repetitions) {
-  L3_EXPECTS(repetitions >= 1);
-  std::vector<workload::RunResult> results;
-  results.reserve(static_cast<std::size_t>(repetitions));
-  for (int i = 0; i < repetitions; ++i) {
-    DsbRunnerConfig rep = config;
-    rep.seed = config.seed + static_cast<std::uint64_t>(i) * 7919ULL;
-    results.push_back(run_hotel_reservation(kind, rep));
-  }
-  return results;
 }
 
 workload::RunResult run_social_network(workload::PolicyKind kind,

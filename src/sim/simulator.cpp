@@ -8,10 +8,6 @@
 
 namespace l3::sim {
 
-Simulator::Simulator() : log_bind_(log_context_) {
-  log_context_.set_time_provider([this] { return now_; });
-}
-
 void Simulator::schedule_at(SimTime t, EventFn fn) {
   L3_EXPECTS(t >= now_);
   L3_EXPECTS(static_cast<bool>(fn));

@@ -161,16 +161,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
       root.split("client"), client_config);
   client.start(0.0, t1);
 
-  // Counter-track sampling at the scrape cadence. The sampler mutates only
-  // recorder state, so the extra periodic events leave the simulation's
-  // behaviour (RNG streams, request outcomes) untouched.
-  sim::PeriodicHandle track_task;
-  if (recorder) {
-    track_task = sim.schedule_every(
-        std::max(config.scrape_interval, 1.0),
-        [&sim, &recorder] { recorder->sample_tracks(sim.now()); });
-  }
-
   // Run, then drain outstanding responses. With shards > 1 the run goes
   // through the shard engine, but the runner builds one Simulator holding
   // every cluster, so every cluster stays on shard 0 and the extra shards
@@ -189,7 +179,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
       router.run_until(t1 + 30.0);
     });
   }
-  track_task.cancel();
 
   RunResult result;
   result.policy = policy_label;
@@ -214,43 +203,6 @@ RunResult run_scenario_with(const ScenarioTrace& trace,
   }
   if (recorder) result.profile = recorder->profile();
   return result;
-}
-
-std::vector<RunResult> run_scenario_repeated(const ScenarioTrace& trace,
-                                             PolicyKind kind,
-                                             const RunnerConfig& config,
-                                             int repetitions) {
-  L3_EXPECTS(repetitions >= 1);
-  std::vector<RunResult> results;
-  results.reserve(static_cast<std::size_t>(repetitions));
-  for (int i = 0; i < repetitions; ++i) {
-    RunnerConfig rep = config;
-    rep.seed = config.seed + static_cast<std::uint64_t>(i) * 1000003ULL;
-    results.push_back(run_scenario(trace, kind, rep));
-  }
-  return results;
-}
-
-double mean_p99(const std::vector<RunResult>& results) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.summary.latency.p99;
-  return sum / static_cast<double>(results.size());
-}
-
-double mean_success_rate(const std::vector<RunResult>& results) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.summary.success_rate;
-  return sum / static_cast<double>(results.size());
-}
-
-double mean_of(const std::vector<RunResult>& results,
-               double (*accessor)(const RunResult&)) {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += accessor(r);
-  return sum / static_cast<double>(results.size());
 }
 
 }  // namespace l3::workload

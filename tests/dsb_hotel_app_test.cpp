@@ -173,6 +173,8 @@ TEST(DsbRunner, ProducesPlausibleLatencies) {
   EXPECT_GT(r.summary.latency.p99, r.summary.latency.p50);
   EXPECT_DOUBLE_EQ(r.summary.success_rate, 1.0);
   EXPECT_EQ(r.scenario, "hotel-reservation");
+  // The client calls its local frontend, so no split is measured.
+  EXPECT_TRUE(r.traffic_share.empty());
 }
 
 TEST(DsbRunner, DeterministicForSameSeed) {

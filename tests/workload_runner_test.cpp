@@ -2,6 +2,8 @@
 // warm-up handling, policy dispatch, and the trace behavior's sampling.
 #include "l3/workload/runner.h"
 
+#include "l3/exp/runner.h"
+#include "l3/exp/spec.h"
 #include "l3/workload/scenarios.h"
 #include "l3/workload/trace_behavior.h"
 
@@ -175,11 +177,18 @@ TEST(Runner, WeightUpdatesHappen) {
 }
 
 TEST(Runner, RepeatedRunsUseDistinctSeeds) {
-  const auto trace = tiny_uniform_trace(0.020, 0.100, 50.0);
-  const auto results =
-      run_scenario_repeated(trace, PolicyKind::kL3, fast_config(), 2);
+  // Repetitions go through the experiment grid, which derives one seed per
+  // repetition of a cell.
+  const auto spec = exp::scenario_grid(
+      "repeated", {tiny_uniform_trace(0.020, 0.100, 50.0)}, {PolicyKind::kL3},
+      fast_config(), 2);
+  exp::RunnerOptions options;
+  options.jobs = 1;
+  const auto results = exp::run_experiment(spec, options);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_NE(results[0].summary.latency.p99, results[1].summary.latency.p99);
+  EXPECT_NE(results[0].seed, results[1].seed);
+  EXPECT_NE(results[0].data.run.summary.latency.p99,
+            results[1].data.run.summary.latency.p99);
 }
 
 TEST(Runner, PolicyFactoryCoversAllKinds) {
