@@ -5,11 +5,70 @@
 // experiments and for the seed-sweep property tests.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
 
 namespace l3 {
+
+/// MT19937-64 with exactly std::mt19937_64's output sequence: the same
+/// seeding, twist and tempering, so every std distribution drawn from it
+/// returns the same values and no simulated output can move. Only the twist
+/// differs in form: libstdc++ selects the matrix term with a conditional on
+/// each word's low bit, which GCC compiles to a data-dependent jump per
+/// word (mispredicted half the time); here it is the mask
+/// `(0 - (y & 1)) & kMatrixA`, so regenerating the state is branch-free.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  result_type operator()() {
+    if (next_ >= kN) twist();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+  static constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+  /// One word of the twist: `far` is the word kM ahead (mod kN).
+  static std::uint64_t twisted(std::uint64_t cur, std::uint64_t next,
+                               std::uint64_t far) {
+    const std::uint64_t y = (cur & kUpperMask) | (next & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  }
+
+  void twist() {
+    std::size_t k = 0;
+    for (; k < kN - kM; ++k) x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM]);
+    for (; k < kN - 1; ++k) {
+      x_[k] = twisted(x_[k], x_[k + 1], x_[k + kM - kN]);
+    }
+    x_[kN - 1] = twisted(x_[kN - 1], x_[0], x_[kM - 1]);
+    next_ = 0;
+  }
+
+  std::array<std::uint64_t, kN> x_;
+  std::size_t next_ = kN;
+};
 
 /// A deterministic random stream with the distribution helpers the library
 /// needs. Streams are cheap to copy; `split(name)` derives an independent
@@ -88,7 +147,7 @@ class SplitRng {
     return x ^ (x >> 31);
   }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uint64_t seed_ = 0;
 };
 

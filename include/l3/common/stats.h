@@ -37,7 +37,10 @@ struct LatencySummary {
   double max = 0.0;
 };
 
-/// Builds a LatencySummary from raw samples.
-LatencySummary summarize(std::span<const double> values);
+/// Builds a LatencySummary from a sample already in ascending order and its
+/// mean; every quantile is percentile_sorted's. Callers that need the mean
+/// to match mean() on the unsorted sample bit for bit sum it in that
+/// sample's order.
+LatencySummary summarize_sorted(std::span<const double> sorted, double mean);
 
 }  // namespace l3

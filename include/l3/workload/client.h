@@ -129,7 +129,8 @@ struct TimelineBucket {
   double rps = 0.0;
 };
 
-/// Buckets records into fixed windows over [t0, t1).
+/// Buckets records into fixed windows over [t0, t1). Latencies must be
+/// >= 0, as a client's always are (here and in the summaries below).
 std::vector<TimelineBucket> aggregate_timeline(
     std::span<const RequestRecord> records, SimTime t0, SimTime t1,
     SimDuration bucket = 1.0);
@@ -143,5 +144,18 @@ struct ClientSummary {
 };
 
 ClientSummary summarize_records(std::span<const RequestRecord> records);
+
+/// A run's summary and timeline, as the runners report them.
+struct RunSummary {
+  ClientSummary summary;
+  std::vector<TimelineBucket> timeline;
+};
+
+/// Equals {summarize_records(r), aggregate_timeline(r, t0, t1, bucket)} for
+/// r = the records sent at or after `t0` (the warm-up dropped), bit for bit,
+/// but reads `records` in place — no filtered copy — and sorts the
+/// latencies once for the summary's two samples and every bucket.
+RunSummary summarize_run(std::span<const RequestRecord> records, SimTime t0,
+                         SimTime t1, SimDuration bucket = 1.0);
 
 }  // namespace l3::workload

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace l3::dsb {
@@ -92,10 +93,10 @@ workload::RunResult run_app(workload::PolicyKind kind,
   workload::RunResult result;
   result.policy = std::string(workload::policy_name(kind));
   result.scenario = scenario_label;
-  const auto records = client.records_after(t0);
-  result.summary = workload::summarize_records(records);
-  result.timeline = workload::aggregate_timeline(records, t0, t1);
-  result.requests = records.size();
+  workload::RunSummary run = workload::summarize_run(client.records(), t0, t1);
+  result.summary = run.summary;
+  result.timeline = std::move(run.timeline);
+  result.requests = run.summary.count;
   result.weight_updates = mesh.control_plane().updates_applied();
   if (recorder) result.profile = recorder->profile();
   return result;

@@ -1,10 +1,14 @@
 #include "l3/workload/client.h"
 
 #include "l3/common/assert.h"
+#include "l3/common/radix_sort.h"
 #include "l3/trace/tracer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace l3::workload {
@@ -174,71 +178,168 @@ std::vector<RequestRecord> OpenLoopClient::records_after(SimTime t) const {
   return out;
 }
 
+namespace {
+
+constexpr std::uint64_t kSuccessBit = std::uint64_t{1} << 63;
+constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
+constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+/// The fixed windows aggregate_timeline buckets records into.
+struct Buckets {
+  Buckets(SimTime from, SimTime to, SimDuration w)
+      : t0(from), t1(to), width(w) {
+    L3_EXPECTS(to > from && w > 0.0);
+    n = static_cast<std::size_t>(std::ceil((to - from) / w));
+  }
+
+  std::uint32_t of(SimTime sent) const {
+    if (sent < t0 || sent >= t1) return kNoBucket;
+    const auto i = static_cast<std::size_t>((sent - t0) / width);
+    return i < n ? static_cast<std::uint32_t>(i) : kNoBucket;
+  }
+
+  SimTime t0;
+  SimTime t1;
+  SimDuration width;
+  std::size_t n = 0;
+};
+
+/// Summary (if `summary` is set) and timeline (returned; empty without
+/// `buckets`) of the records with from <= sent < to, read in place and
+/// radix-sorted once.
+///
+/// Each selected record becomes one sort key: its latency's raw IEEE bits,
+/// which order like the values because latencies are >= 0, with the
+/// success flag folded into the free sign bit when a summary is wanted. The
+/// sorted keys are then a failure block followed by a success block, each
+/// ascending; negating the success block gives success_latency's sorted
+/// sample, and a linear merge of the two blocks gives the all-requests
+/// order (with no failures, or no successes, the sorted keys already are
+/// it). A stable counting pass by bucket index over that order leaves each
+/// bucket's latencies contiguous and still ascending. Means are summed in
+/// record order, as mean() sums, and every quantile goes through
+/// percentile_sorted on the same ascending values a per-sample std::sort
+/// produces, so results are bit-identical to summarizing copies.
+std::vector<TimelineBucket> summarize_in_place(
+    std::span<const RequestRecord> records, SimTime from, SimTime to,
+    ClientSummary* summary, const Buckets* buckets) {
+  const std::size_t nb = buckets != nullptr ? buckets->n : 0;
+  std::vector<std::size_t> counts(nb, 0);
+  std::vector<std::size_t> successes(nb, 0);
+  RadixBuffer<double> buf(records.size(), /*with_payload=*/nb > 0);
+  double* keys = buf.data();
+  std::uint32_t* bucket_of = buf.payload();
+  const std::uint64_t flag = summary != nullptr ? kSuccessBit : 0;
+  std::size_t m = 0;
+  std::size_t ok = 0;
+  double sum_all = 0.0;
+  double sum_ok = 0.0;
+  std::uint64_t sign_bits = 0;
+  for (const auto& r : records) {
+    if (r.sent < from || r.sent >= to) continue;
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(r.latency);
+    sign_bits |= bits;
+    sum_all += r.latency;
+    if (r.success) {
+      sum_ok += r.latency;
+      ++ok;
+      bits |= flag;
+    }
+    keys[m] = std::bit_cast<double>(bits);
+    if (bucket_of != nullptr) {
+      const std::uint32_t b = buckets->of(r.sent);
+      bucket_of[m] = b;
+      if (b != kNoBucket) {
+        ++counts[b];
+        if (r.success) ++successes[b];
+      }
+    }
+    ++m;
+  }
+  // Negative latencies would sort after positive ones and read as flagged.
+  L3_ASSERT((sign_bits & kSuccessBit) == 0);
+  buf.sort(m);
+
+  if (summary != nullptr && m > 0) {
+    const std::size_t failed = m - ok;
+    double* sorted = buf.data();
+    for (std::size_t i = failed; i < m; ++i) sorted[i] = -sorted[i];
+    summary->success_latency =
+        summarize_sorted({sorted + failed, ok},
+                         ok > 0 ? sum_ok / static_cast<double>(ok) : 0.0);
+    if (failed > 0 && ok > 0) {
+      double* out = buf.scratch();
+      const std::uint32_t* pin = buf.payload();
+      std::uint32_t* pout = buf.payload_scratch();
+      std::size_t i = 0;
+      std::size_t j = failed;
+      for (std::size_t o = 0; o < m; ++o) {
+        const std::size_t src =
+            j == m || (i < failed && sorted[i] <= sorted[j]) ? i++ : j++;
+        out[o] = sorted[src];
+        if (pin != nullptr) pout[o] = pin[src];
+      }
+      buf.swap();
+    }
+    summary->latency = summarize_sorted({buf.data(), m},
+                                        sum_all / static_cast<double>(m));
+    summary->success_rate = static_cast<double>(ok) / static_cast<double>(m);
+    summary->count = m;
+  }
+
+  std::vector<TimelineBucket> timeline(nb);
+  if (nb == 0) return timeline;
+  std::vector<std::size_t> next(nb);
+  std::size_t at = 0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    next[b] = at;
+    at += counts[b];
+  }
+  const double* sorted = buf.data();
+  const std::uint32_t* sorted_bucket = buf.payload();
+  double* by_bucket = buf.scratch();
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint32_t b = sorted_bucket[i];
+    if (b != kNoBucket) by_bucket[next[b]++] = sorted[i];
+  }
+  for (std::size_t b = 0; b < nb; ++b) {
+    TimelineBucket& out = timeline[b];
+    out.start = buckets->t0 + static_cast<double>(b) * buckets->width;
+    out.count = counts[b];
+    out.rps = static_cast<double>(counts[b]) / buckets->width;
+    if (counts[b] > 0) {
+      const std::span<const double> run(by_bucket + next[b] - counts[b],
+                                        counts[b]);
+      out.p50 = percentile_sorted(run, 0.50);
+      out.p99 = percentile_sorted(run, 0.99);
+      out.success_rate = static_cast<double>(successes[b]) /
+                         static_cast<double>(counts[b]);
+    }
+  }
+  return timeline;
+}
+
+}  // namespace
+
 std::vector<TimelineBucket> aggregate_timeline(
     std::span<const RequestRecord> records, SimTime t0, SimTime t1,
     SimDuration bucket) {
-  L3_EXPECTS(t1 > t0 && bucket > 0.0);
-  const auto n = static_cast<std::size_t>(std::ceil((t1 - t0) / bucket));
-  // Two passes: count first so each bucket's latency vector is allocated
-  // exactly once, then fill. Records arrive roughly in bucket order, so
-  // both passes stream sequentially.
-  std::vector<std::vector<double>> latencies(n);
-  std::vector<std::size_t> successes(n, 0);
-  std::vector<std::size_t> counts(n, 0);
-  for (const auto& r : records) {
-    if (r.sent < t0 || r.sent >= t1) continue;
-    const auto i = static_cast<std::size_t>((r.sent - t0) / bucket);
-    if (i >= n) continue;
-    counts[i] += 1;
-    if (r.success) successes[i] += 1;
-  }
-  for (std::size_t i = 0; i < n; ++i) latencies[i].reserve(counts[i]);
-  for (const auto& r : records) {
-    if (r.sent < t0 || r.sent >= t1) continue;
-    const auto i = static_cast<std::size_t>((r.sent - t0) / bucket);
-    if (i >= n) continue;
-    latencies[i].push_back(r.latency);
-  }
-  std::vector<TimelineBucket> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].start = t0 + static_cast<double>(i) * bucket;
-    out[i].count = counts[i];
-    out[i].rps = static_cast<double>(counts[i]) / bucket;
-    if (counts[i] > 0) {
-      // Sort each bucket once and read both quantiles off the sorted run —
-      // percentile() would copy + sort per quantile. Same sort, same
-      // interpolation, bit-identical values (the golden traces hash these).
-      std::sort(latencies[i].begin(), latencies[i].end());
-      out[i].p50 = percentile_sorted(latencies[i], 0.50);
-      out[i].p99 = percentile_sorted(latencies[i], 0.99);
-      out[i].success_rate =
-          static_cast<double>(successes[i]) / static_cast<double>(counts[i]);
-    }
-  }
-  return out;
+  const Buckets buckets(t0, t1, bucket);
+  return summarize_in_place(records, t0, t1, nullptr, &buckets);
 }
 
 ClientSummary summarize_records(std::span<const RequestRecord> records) {
   ClientSummary s;
-  s.count = records.size();
-  if (records.empty()) return s;
-  std::vector<double> all;
-  std::vector<double> ok;
-  all.reserve(records.size());
-  ok.reserve(records.size());
-  std::size_t successes = 0;
-  for (const auto& r : records) {
-    all.push_back(r.latency);
-    if (r.success) {
-      ok.push_back(r.latency);
-      ++successes;
-    }
-  }
-  s.latency = summarize(all);
-  s.success_latency = summarize(ok);
-  s.success_rate =
-      static_cast<double>(successes) / static_cast<double>(records.size());
+  summarize_in_place(records, -kInf, kInf, &s, nullptr);
   return s;
+}
+
+RunSummary summarize_run(std::span<const RequestRecord> records, SimTime t0,
+                         SimTime t1, SimDuration bucket) {
+  const Buckets buckets(t0, t1, bucket);
+  RunSummary run;
+  run.timeline = summarize_in_place(records, t0, kInf, &run.summary, &buckets);
+  return run;
 }
 
 }  // namespace l3::workload
